@@ -21,11 +21,11 @@ from .dynamics import (
     InitialState,
     concurrence_series,
     evolve,
-    peak_height,
     peak_report,
     peak_times,
     reduced_density,
     scan_peak_optimum,
+    state_concurrence,
 )
 from .entanglement import wootters_concurrence, xstate_concurrence
 from .errors import DegenerateModel, NumericalContractError, ParameterError
@@ -169,21 +169,29 @@ def _model_params(cfg: dict) -> ModelParams:
     return params_at(_geometry(cfg), cfg.get("x1", DEFAULT_X1))
 
 
-def _time_grid(cfg: dict, params: ModelParams, default_steps: int = DEFAULT_T_STEPS) -> np.ndarray:
+def _time_grid(cfg: dict, omega: float, default_steps: int = DEFAULT_T_STEPS) -> np.ndarray:
+    """Time grid from --t-max/--t-steps; t_max defaults to the period 2 pi/omega."""
     steps = cfg.get("t_steps", default_steps)
     if steps < 1:
         raise ParameterError(f"t_steps = {steps} must be >= 1")
     t_max = cfg.get("t_max")
     if t_max is None:
-        omega = math.hypot(params.g1, params.rddi)
         if omega == 0.0:
-            raise DegenerateModel("g1 = rddi = 0: no default period, pass --t-max")
+            raise DegenerateModel("Omega = 0: no default period, pass --t-max")
         t_max = 2.0 * math.pi / omega
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ParameterError(f"t_max = {t_max!r} must be finite and non-negative")
     if steps > 1 and t_max == 0.0:
         raise ParameterError("t_max = 0 needs t_steps = 1")
     return np.linspace(0.0, t_max, steps)
+
+
+def _mesh(cfg: dict):
+    """x1 grid, time grid and concurrence mesh; t_max defaults to the slowest period on the grid."""
+    geo, x1_grid = _geometry(cfg), _x1_grid(cfg)
+    grid = params_at(geo, x1_grid)
+    t_grid = _time_grid(cfg, float(np.min(np.hypot(grid.g1, grid.rddi))), DEFAULT_MESH_T_STEPS)
+    return x1_grid, t_grid, mesh(geo, x1_grid, t_grid)
 
 
 def _x1_grid(cfg: dict) -> np.ndarray:
@@ -275,11 +283,10 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_evolve(cfg: dict) -> int:
     _require_format(cfg, "csv", "evolve")
     params = _model_params(cfg)
-    init = _initial_state(cfg)
-    grid = _time_grid(cfg, params)
-    psi = np.atleast_2d(evolve(params, init, grid))
+    grid = _time_grid(cfg, params.omega)
+    psi = evolve(params, _initial_state(cfg), grid)
     norms = np.linalg.norm(psi, axis=1)
-    concurrence = 2.0 * np.abs(psi[:, 1] * np.conj(psi[:, 2]))
+    concurrence = state_concurrence(psi)
     header = ("t", "photon_re", "photon_im", "atom1_re", "atom1_im",
               "atom2_re", "atom2_im", "norm", "concurrence")
     rows = [
@@ -306,15 +313,7 @@ def cmd_sweep(cfg: dict) -> int:
 
 def cmd_mesh(cfg: dict) -> int:
     _require_format(cfg, "csv", "mesh")
-    geo = _geometry(cfg)
-    x1_grid = _x1_grid(cfg)
-    slowest = min(math.hypot(p.g1, p.rddi) for p in (params_at(geo, x1) for x1 in x1_grid))
-    if slowest == 0.0 and "t_max" not in cfg:
-        raise DegenerateModel("zero Omega on the grid: no default period, pass --t-max")
-    grid_cfg = dict(cfg)
-    grid_cfg.setdefault("t_max", 2.0 * math.pi / slowest if slowest > 0.0 else None)
-    t_grid = _time_grid(grid_cfg, ModelParams(g1=1.0), default_steps=DEFAULT_MESH_T_STEPS)
-    values = mesh(geo, x1_grid, t_grid)
+    x1_grid, t_grid, values = _mesh(cfg)
     rows = [
         (x1, t, values[i, k])
         for i, x1 in enumerate(x1_grid)
@@ -327,26 +326,17 @@ def cmd_mesh(cfg: dict) -> int:
 def cmd_peaks(cfg: dict) -> int:
     _require_format(cfg, "csv", "peaks")
     params = _model_params(cfg)
-    analytic = ModelParams(g1=params.g1, g2=0.0, rddi=params.rddi)
     header = ("kind", "g1", "rddi", "ratio", "c_peak", "t_peak", "period")
-    rows = []
-    if cfg.get("scan_rddi") is None:
-        report = peak_report(analytic)
-        rows.append(("report", analytic.g1, analytic.rddi, report.ratio,
-                     report.c_peak, report.t_peak, report.period))
-    else:
-        scan = _parse_scan(cfg["scan_rddi"])
-        heights = np.array([peak_height(analytic.g1, r) for r in scan])
-        for r, c in zip(scan, heights):
-            omega = math.hypot(analytic.g1, r)
-            rows.append(("scan", analytic.g1, r, r / analytic.g1, c,
-                         2.0 * math.pi / (3.0 * omega), 2.0 * math.pi / omega))
-        best = int(np.argmax(heights))
-        rows.append(("argmax",) + rows[best][1:])
-        r_opt, c_opt = scan_peak_optimum(analytic.g1)
-        omega = math.hypot(analytic.g1, r_opt)
-        rows.append(("optimum", analytic.g1, r_opt, r_opt / analytic.g1, c_opt,
-                     2.0 * math.pi / (3.0 * omega), 2.0 * math.pi / omega))
+    scan = cfg.get("scan_rddi")
+    rddi = np.array([params.rddi]) if scan is None else _parse_scan(scan)
+    peaks = peak_report(ModelParams(g1=params.g1, rddi=rddi))
+    kind = "report" if scan is None else "scan"
+    rows = [(kind, params.g1) + row for row in zip(rddi, peaks.ratio, peaks.c_peak, peaks.t_peak, peaks.period)]
+    if scan is not None:
+        rows.append(("argmax",) + rows[int(np.argmax(peaks.c_peak))][1:])
+        r_opt, c_opt = scan_peak_optimum(params.g1)
+        optimum = peak_report(ModelParams(g1=params.g1, rddi=r_opt))
+        rows.append(("optimum", params.g1, r_opt, optimum.ratio, c_opt, optimum.t_peak, optimum.period))
     _emit(cfg, _csv(header, rows))
     return 0
 
@@ -356,7 +346,7 @@ def cmd_plot(cfg: dict) -> int:
     kind = cfg.get("kind", "evolve")
     if kind == "evolve":
         params = _model_params(cfg)
-        series = concurrence_series(params, _initial_state(cfg), _time_grid(cfg, params))
+        series = concurrence_series(params, _initial_state(cfg), _time_grid(cfg, params.omega))
         text = line_plot(series.times, [series.values], ["C(t)"],
                          "t (1/g0)", "concurrence", "concurrence vs time")
     elif kind == "sweep":
@@ -370,15 +360,7 @@ def cmd_plot(cfg: dict) -> int:
             "x1 (w0)", "normalized", "peak concurrence and period vs position",
         )
     else:
-        geo = _geometry(cfg)
-        x1_grid = _x1_grid(cfg)
-        slowest = min(math.hypot(p.g1, p.rddi) for p in (params_at(geo, x1) for x1 in x1_grid))
-        if slowest == 0.0 and "t_max" not in cfg:
-            raise DegenerateModel("zero Omega on the grid: no default period, pass --t-max")
-        grid_cfg = dict(cfg)
-        grid_cfg.setdefault("t_max", 2.0 * math.pi / slowest if slowest > 0.0 else None)
-        t_grid = _time_grid(grid_cfg, ModelParams(g1=1.0), default_steps=DEFAULT_MESH_T_STEPS)
-        values = mesh(geo, x1_grid, t_grid)
+        x1_grid, t_grid, values = _mesh(cfg)
         text = raster_plot(values, (float(t_grid[0]), float(t_grid[-1])),
                            (float(x1_grid[0]), float(x1_grid[-1])),
                            "t (1/g0)", "x1 (w0)", "concurrence mesh")
@@ -390,8 +372,7 @@ def _selftest_checks():
     rng = np.random.default_rng(20250823)
 
     def spectrum_oracle():
-        for _ in range(50):
-            g1, rddi = rng.uniform(0.05, 1.0, size=2)
+        for g1, rddi in rng.uniform(0.05, 1.0, size=(50, 2)):
             params = ModelParams(g1=g1, rddi=rddi)
             spectrum = analytic_spectrum(params)
             h = build_single_excitation_h(params)
@@ -404,8 +385,7 @@ def _selftest_checks():
         return True
 
     def evolution_oracle():
-        for _ in range(3):
-            g1, rddi = rng.uniform(0.1, 1.0, size=2)
+        for g1, rddi in rng.uniform(0.1, 1.0, size=(3, 2)):
             params = ModelParams(g1=g1, rddi=rddi)
             omega = params.omega
             h = build_single_excitation_h(params)
@@ -430,8 +410,7 @@ def _selftest_checks():
         return True
 
     def peak_placement():
-        for _ in range(5):
-            g1, rddi = rng.uniform(0.1, 1.0, size=2)
+        for g1, rddi in rng.uniform(0.1, 1.0, size=(5, 2)):
             params = ModelParams(g1=g1, rddi=rddi)
             omega = params.omega
             period = 2.0 * math.pi / omega
@@ -452,7 +431,7 @@ def _selftest_checks():
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         decomp = hermitian_eigendecompose(build_effective_h(params))
         psi = evolve_spectral(decomp, psi0, grid)
-        if np.max(2.0 * np.abs(psi[:, 1] * np.conj(psi[:, 2]))) > 1e-12:
+        if np.max(state_concurrence(psi)) > 1e-12:
             return False
         full = concurrence_series(params, InitialState(), grid)
         return bool(full.values.max() > 0.01)

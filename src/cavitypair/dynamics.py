@@ -18,19 +18,19 @@ the ratio Gamma/g1 is maximal (exactly 1) at Gamma = g1/sqrt(2).
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .errors import DegenerateModel, UnnormalizedState, ZeroCoupling
+from .errors import DegenerateModel, ParameterError, UnnormalizedState, ZeroCoupling
 from .model import ModelParams, build_single_excitation_h
-from .qmath import evolve_spectral, hermitian_eigendecompose
-
-NORM_TOL = 1e-10
+from .qmath import NORM_TOL, _require_normalized, evolve_spectral, hermitian_eigendecompose
 
 # Height of |sin(x)|(1 - cos(x)) at its maxima x = (3m +/- 1) pi/3.
 _PEAK_SHAPE = 3.0 * math.sqrt(3.0) / 4.0
+# Golden-section shrink factor per evaluation, and its relative stopping width.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = 1.5e-8
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class InitialState:
     def __post_init__(self):
         for name in ("alpha", "beta"):
             if not cmath.isfinite(complex(getattr(self, name))):
-                raise ValueError(f"{name} is not finite")
+                raise ParameterError(f"{name} is not finite")
         norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise UnnormalizedState(f"|alpha|^2 + |beta|^2 = {norm_sq!r} deviates from 1")
@@ -63,13 +63,13 @@ class TimeSeries:
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or values.shape != times.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
+            raise ParameterError("times and values must be 1-d arrays of equal length")
         if times.size == 0:
-            raise ValueError("empty time grid")
+            raise ParameterError("empty time grid")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly ascending")
+            raise ParameterError("times must be strictly ascending")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("times and values must be finite")
+            raise ParameterError("times and values must be finite")
         times.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -78,7 +78,7 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class PeakReport:
-    """First-peak location/height and the repetition period of the concurrence."""
+    """First-peak location/height and the repetition period of the concurrence (arrays for a grid)."""
 
     t_peak: float
     c_peak: float
@@ -89,10 +89,16 @@ class PeakReport:
 def evolve(params: ModelParams, init: InitialState, t) -> np.ndarray:
     """State at time(s) t under the full single-excitation Hamiltonian.
 
-    Scalar t returns shape (3,), an array of times returns (nt, 3).
+    Scalar t returns shape (3,), an array of times returns (nt, 3); a grid of
+    models is propagated as one stack and puts its axis in front.
     """
     decomp = hermitian_eigendecompose(build_single_excitation_h(params))
     return evolve_spectral(decomp, init.vector(), t)
+
+
+def state_concurrence(psi: np.ndarray) -> np.ndarray:
+    """Concurrence 2|b conj(c)| of states psi = (a, b, c), shape (..., 3): Wootters on ``reduced_density``."""
+    return 2.0 * np.abs(psi[..., 1] * np.conj(psi[..., 2]))
 
 
 def reduced_density(psi: np.ndarray) -> np.ndarray:
@@ -104,13 +110,7 @@ def reduced_density(psi: np.ndarray) -> np.ndarray:
     two excited populations exactly, since the traced state is pure in each
     photon sector.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (3,):
-        raise ValueError(f"expected a 3-component state, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise UnnormalizedState(f"|psi| = {norm!r} deviates from 1")
-    a, b, c = psi
+    a, b, c = _require_normalized(psi, 3)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = abs(b) ** 2
     rho[2, 2] = abs(c) ** 2
@@ -129,9 +129,20 @@ def concurrence_series(params: ModelParams, init: InitialState, t_grid) -> TimeS
     test suite and the CLI selftest).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    psi = evolve(params, init, t_grid)
-    values = 2.0 * np.abs(psi[:, 1] * np.conj(psi[:, 2]))
-    return TimeSeries(times=t_grid, values=values)
+    return TimeSeries(times=t_grid, values=state_concurrence(evolve(params, init, t_grid)))
+
+
+def peak_amplitude(g1, rddi):
+    """Amplitude 2 g1^2 Gamma/Omega^3 of the concurrence; callers reject g1 = Gamma = 0.
+
+    With s = min/max of (g1, Gamma) it is 2s/(1+s^2)^{3/2} when g1 >= Gamma and
+    2s^2/(1+s^2)^{3/2} otherwise, so no scale overflows or underflows.
+    """
+    m = np.maximum(g1, rddi)
+    a, b = g1 / m, rddi / m
+    omega = np.hypot(a, b)
+    out = 2.0 * a * a * b / (omega * omega * omega)
+    return float(out) if out.ndim == 0 else out
 
 
 def closed_form_concurrence(g1: float, rddi: float, t):
@@ -141,21 +152,18 @@ def closed_form_concurrence(g1: float, rddi: float, t):
     g2 = 0.  Accepts scalar or array t.  Raises DegenerateModel when
     g1 = rddi = 0.
     """
-    if g1 < 0.0 or rddi < 0.0:
-        raise ValueError("couplings must be non-negative")
-    omega = math.hypot(g1, rddi)
+    omega = ModelParams(g1=g1, rddi=rddi).omega  # checks the couplings: finite, non-negative
     if omega == 0.0:
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
     phase = omega * np.asarray(t, dtype=float)
-    amplitude = 2.0 * g1**2 * rddi / omega**3
-    out = amplitude * np.abs(np.sin(phase)) * (1.0 - np.cos(phase))
+    out = peak_amplitude(g1, rddi) * np.abs(np.sin(phase)) * (1.0 - np.cos(phase))
     return float(out) if out.ndim == 0 else out
 
 
 def peak_times(g1: float, rddi: float, m_max: int = 1) -> np.ndarray:
     """Times (3m +/- 1) pi / (3 Omega) of the concurrence maxima, m = 1, 3, ... m_max."""
     if m_max < 1 or m_max % 2 == 0:
-        raise ValueError(f"m_max = {m_max!r} must be an odd integer >= 1")
+        raise ParameterError(f"m_max = {m_max!r} must be an odd integer >= 1")
     omega = math.hypot(g1, rddi)
     if omega == 0.0:
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
@@ -171,28 +179,28 @@ def peak_report(params: ModelParams) -> PeakReport:
     when Omega = 0 and ZeroCoupling when g1 = 0 (the ratio Gamma/g1 would be
     undefined; no sentinel is substituted).
     """
-    if params.g2 != 0.0:
-        raise ValueError("peak analytics are defined for g2 = 0 only")
-    omega = params.omega
-    if omega == 0.0:
+    if np.any(params.g2 != 0.0):
+        raise ParameterError("peak analytics are defined for g2 = 0 only")
+    g1, rddi = np.asarray(params.g1, dtype=float), np.asarray(params.rddi, dtype=float)
+    omega = np.hypot(g1, rddi)
+    if np.any(omega == 0.0):
         raise DegenerateModel("g1 = rddi = 0: period undefined")
-    if params.g1 == 0.0:
+    if np.any(g1 == 0.0):
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
-    c_peak = (2.0 * params.g1**2 * params.rddi / omega**3) * _PEAK_SHAPE
-    return PeakReport(
+    report = PeakReport(
         t_peak=2.0 * math.pi / (3.0 * omega),
-        c_peak=c_peak,
+        c_peak=peak_amplitude(g1, rddi) * _PEAK_SHAPE,
         period=2.0 * math.pi / omega,
-        ratio=params.rddi / params.g1,
+        ratio=rddi / g1,
     )
+    return report if np.ndim(omega) else PeakReport(*map(float, astuple(report)))
 
 
 def peak_height(g1: float, rddi: float) -> float:
     """Peak concurrence (2 g1^2 Gamma/Omega^3)(3 sqrt(3)/4) as a function of Gamma."""
-    omega = math.hypot(g1, rddi)
-    if omega == 0.0:
+    if g1 == 0.0 and rddi == 0.0:
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
-    return (2.0 * g1**2 * rddi / omega**3) * _PEAK_SHAPE
+    return peak_amplitude(g1, rddi) * _PEAK_SHAPE
 
 
 def peak_optimum(g1: float) -> tuple[float, float]:
@@ -202,24 +210,32 @@ def peak_optimum(g1: float) -> tuple[float, float]:
     ``scan_peak_optimum`` recovers the same point numerically.
     """
     if g1 <= 0.0:
-        raise ValueError(f"g1 = {g1!r} must be positive")
+        raise ParameterError(f"g1 = {g1!r} must be positive")
     return g1 / math.sqrt(2.0), 1.0
 
 
 def scan_peak_optimum(g1: float, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:
     """Golden-section maximization of the peak concurrence over Gamma.
 
-    Searches (0, 10 g1] by default.  Independent of ``peak_optimum``; used as
-    its numerical cross-check (agreement to 1e-6 is asserted by the tests).
+    Searches (0, 10 g1] by default, on r = Gamma/g1 so that any scale works,
+    shrinking the bracket (Kiefer 1953) down to sqrt(eps) relative, below which
+    a smooth maximum cannot be located.  Independent of ``peak_optimum``; used
+    as its numerical cross-check (agreement to 1e-6 is asserted by the tests).
     """
     if g1 <= 0.0:
-        raise ValueError(f"g1 = {g1!r} must be positive")
-    lo = 1e-9 * g1 if lo is None else lo
-    hi = 10.0 * g1 if hi is None else hi
-    result = minimize_scalar(
-        lambda r: -peak_height(g1, r),
-        bracket=(lo, g1, hi),
-        method="golden",
-        options={"xtol": 1e-12},
-    )
-    return float(result.x), float(-result.fun)
+        raise ParameterError(f"g1 = {g1!r} must be positive")
+    a = 1e-9 if lo is None else lo / g1
+    b = 10.0 if hi is None else hi / g1
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = peak_height(1.0, c), peak_height(1.0, d)
+    while b - a > _SQRT_EPS * (c + d):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = peak_height(1.0, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = peak_height(1.0, d)
+    r, c_max = (c, fc) if fc > fd else (d, fd)
+    return g1 * r, c_max

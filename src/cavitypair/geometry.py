@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAtoms, DegenerateModel, NonpositiveSeparation, ParameterError
-from .dynamics import InitialState, concurrence_series, peak_report
+from .dynamics import InitialState, concurrence_series, evolve, peak_report, state_concurrence
 from .model import ModelParams
 
 HZ_PER_MHZ = 1e6
@@ -134,11 +134,14 @@ def rddi_at(geo: CavityGeometry, r):
     return float(value) if value.ndim == 0 else value
 
 
-def params_at(geo: CavityGeometry, x1: float) -> ModelParams:
-    """Model couplings (g1, g2, Gamma) for atom 1 at x1, atom 2 at geo.x2."""
-    separation = abs(float(x1) - float(geo.x2))
-    if separation == 0.0:
-        raise CoincidentAtoms(f"x1 = x2 = {x1!r}")
+def params_at(geo: CavityGeometry, x1) -> ModelParams:
+    """Model couplings (g1, g2, Gamma) for atom 1 at x1, atom 2 at geo.x2.
+
+    An array x1 gives a grid of models; CoincidentAtoms if any x1 equals geo.x2.
+    """
+    separation = np.abs(np.asarray(x1, dtype=float) - float(geo.x2))
+    if np.any(separation == 0.0):
+        raise CoincidentAtoms(f"x1 = x2 = {geo.x2!r}")
     return ModelParams(
         g1=coupling_at(geo, x1),
         g2=coupling_at(geo, geo.x2),
@@ -164,13 +167,6 @@ class SweepResult:
     period: np.ndarray
     c_peak_numeric: np.ndarray | None = None
 
-    def __post_init__(self):
-        columns = [self.x1, self.g1, self.rddi, self.ratio, self.c_peak, self.t_peak, self.period]
-        if self.c_peak_numeric is not None:
-            columns.append(self.c_peak_numeric)
-        if any(np.asarray(col).shape != np.asarray(self.x1).shape for col in columns):
-            raise ValueError("sweep columns must have equal lengths")
-
 
 def numeric_peak_concurrence(params: ModelParams, n_per_period: int = PEAK_GRID_POINTS) -> float:
     """Grid maximum of the propagated concurrence over one period, g2 kept.
@@ -178,20 +174,18 @@ def numeric_peak_concurrence(params: ModelParams, n_per_period: int = PEAK_GRID_
     The grid has n_per_period steps across 2 pi/Omega, dense enough that the
     quadratic sampling bias stays below 1e-7 relative.
     """
-    omega = math.hypot(params.g1, params.rddi)
-    if omega == 0.0:
+    if params.omega == 0.0:
         raise DegenerateModel("g1 = rddi = 0: period undefined")
-    grid = np.linspace(0.0, 2.0 * math.pi / omega, n_per_period + 1)
-    series = concurrence_series(params, InitialState(), grid)
-    return float(series.values.max())
+    grid = np.linspace(0.0, 2.0 * math.pi / params.omega, n_per_period + 1)
+    return float(concurrence_series(params, InitialState(), grid).values.max())
 
 
 def sweep_position(geo: CavityGeometry, x1_grid, numeric_peaks: bool = False) -> SweepResult:
     """Peak analytics at each atom-1 position of an ascending grid.
 
-    Per point: params_at, then the closed-form peak report with g2 zeroed.
-    With numeric_peaks on, a full-g2 numeric peak column is added as the
-    diagnostic against which the zero-g2 truncation is judged.
+    The analytic columns are the g2 = 0 closed forms on the whole grid at once;
+    numeric_peaks adds a full-g2 numeric peak column, one position at a time, as
+    the diagnostic against which the zero-g2 truncation is judged.
     """
     x1_grid = np.asarray(x1_grid, dtype=float)
     if x1_grid.ndim != 1 or x1_grid.size == 0:
@@ -199,19 +193,19 @@ def sweep_position(geo: CavityGeometry, x1_grid, numeric_peaks: bool = False) ->
     if x1_grid.size > 1 and not np.all(np.diff(x1_grid) > 0.0):
         raise ParameterError("x1 grid must be strictly ascending")
 
-    rows = [params_at(geo, x1) for x1 in x1_grid]
-    reports = [peak_report(ModelParams(g1=p.g1, g2=0.0, rddi=p.rddi)) for p in rows]
+    grid = params_at(geo, x1_grid)
+    peaks = peak_report(ModelParams(g1=grid.g1, rddi=grid.rddi))
     numeric = None
     if numeric_peaks:
-        numeric = np.array([numeric_peak_concurrence(p) for p in rows])
+        numeric = np.array([numeric_peak_concurrence(params_at(geo, x1)) for x1 in x1_grid])
     return SweepResult(
         x1=x1_grid.copy(),
-        g1=np.array([p.g1 for p in rows]),
-        rddi=np.array([p.rddi for p in rows]),
-        ratio=np.array([r.ratio for r in reports]),
-        c_peak=np.array([r.c_peak for r in reports]),
-        t_peak=np.array([r.t_peak for r in reports]),
-        period=np.array([r.period for r in reports]),
+        g1=grid.g1,
+        rddi=grid.rddi,
+        ratio=peaks.ratio,
+        c_peak=peaks.c_peak,
+        t_peak=peaks.t_peak,
+        period=peaks.period,
         c_peak_numeric=numeric,
     )
 
@@ -220,15 +214,13 @@ def mesh(geo: CavityGeometry, x1_grid, t_grid) -> np.ndarray:
     """Concurrence on the position x time product grid, shape (n_x1, n_t).
 
     Row i is the propagated concurrence series (full g2, photon-fed initial
-    state) for atom 1 at x1_grid[i]; rows are independent and the emission
-    order is fixed by the input grids.
+    state) for atom 1 at x1_grid[i], all rows from one stacked propagation;
+    the emission order is fixed by the input grids.
     """
     x1_grid = np.asarray(x1_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if x1_grid.ndim != 1 or x1_grid.size == 0 or t_grid.ndim != 1 or t_grid.size == 0:
         raise ParameterError("mesh grids must be non-empty 1-d arrays")
-    init = InitialState()
-    out = np.empty((x1_grid.size, t_grid.size))
-    for i, x1 in enumerate(x1_grid):
-        out[i] = concurrence_series(params_at(geo, x1), init, t_grid).values
-    return out
+    if not (np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0.0)):
+        raise ParameterError("mesh times must be finite and strictly ascending")
+    return state_concurrence(evolve(params_at(geo, x1_grid), InitialState(), t_grid))

@@ -19,25 +19,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModel, DivisionByZeroCoupling
+from .errors import DegenerateModel, DivisionByZeroCoupling, ParameterError
 from .qmath import SpectralDecomposition  # noqa: F401  (re-exported alongside builders)
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coupling frequencies defining the single-excitation Hamiltonian (g0 units)."""
+    """Coupling frequencies defining the single-excitation Hamiltonian (g0 units).
+
+    Arrays that broadcast together make a grid of models (``omega`` needs floats).
+    """
 
     g1: float
     g2: float = 0.0
     rddi: float = 0.0
 
     def __post_init__(self):
-        for name in ("g1", "g2", "rddi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} = {value!r} is not finite")
-            if value < 0.0:
-                raise ValueError(f"{name} = {value!r} must be non-negative")
+        values = np.array(np.broadcast_arrays(self.g1, self.g2, self.rddi), dtype=float)
+        ok = (values >= 0.0) & (values < math.inf)
+        if not ok.all():
+            index = tuple(np.argwhere(~ok)[0])
+            bad = float(values[index])
+            reason = "must be non-negative" if math.isfinite(bad) else "is not finite"
+            raise ParameterError(f"{('g1', 'g2', 'rddi')[index[0]]} = {bad!r} {reason}")
 
     @property
     def omega(self) -> float:
@@ -68,12 +72,13 @@ def build_single_excitation_h(params: ModelParams) -> np.ndarray:
     [[0,  g1, g2 ],
      [g1, 0,  Gamma],
      [g2, Gamma, 0 ]]
+
+    A grid of models gives the stack of its Hamiltonians, shape s + (3, 3).
     """
-    g1, g2, gamma = params.g1, params.g2, params.rddi
-    return np.array(
-        [[0.0, g1, g2], [g1, 0.0, gamma], [g2, gamma, 0.0]],
-        dtype=complex,
-    )
+    g1, g2, gamma = np.broadcast_arrays(params.g1, params.g2, params.rddi)
+    zero = np.zeros_like(g1)
+    entries = [zero, g1, g2, g1, zero, gamma, g2, gamma, zero]
+    return np.stack(entries, axis=-1).astype(complex).reshape(g1.shape + (3, 3))
 
 
 def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
@@ -85,7 +90,7 @@ def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
     eigensolver by the test suite.
     """
     if params.g2 != 0.0:
-        raise ValueError("analytic spectrum is defined for g2 = 0 only")
+        raise ParameterError("analytic spectrum is defined for g2 = 0 only")
     g1, gamma = params.g1, params.rddi
     omega = params.omega
     if omega == 0.0:

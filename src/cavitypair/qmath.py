@@ -33,37 +33,47 @@ MAX_DIM = 64
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Real eigenvalues (ascending) with orthonormal eigenvector columns."""
+    """Real eigenvalues (ascending) with orthonormal eigenvector columns; a stack leads with its axis."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def _entry_max(m: np.ndarray) -> np.ndarray:
+    """max |m_ij| of each matrix of a stack (0 for empty matrices)."""
+    return np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+
+
+def _require_within(values, bounds, error, what: str) -> None:
+    """Raise ``error`` for the first matrix of a stack whose value exceeds its bound."""
+    values, bounds = np.broadcast_arrays(values, bounds)
+    bad = np.flatnonzero(values > bounds)
+    if bad.size:
+        i = bad[0]
+        raise error(f"{what} {values.flat[i]:.3e} exceeds {bounds.flat[i]:.3e} (matrix {i})")
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Return max |m[i,j] - conj(m[j,i])|, the distance from Hermiticity."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
-def _require_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m
+    return float(np.max(_entry_max(m - _dagger(m)), initial=0.0))
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    m = _require_square(m)
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_RTOL * scale:
-        raise NonHermitianInput(
-            f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_RTOL:.0e} * {scale:.3e}"
-        )
+    """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    _require_within(_entry_max(m - _dagger(m)), HERMITICITY_RTOL * _entry_max(m),
+                    NonHermitianInput, "Hermiticity defect")
     return m
 
 
@@ -80,20 +90,21 @@ def _require_normalized(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a small Hermitian matrix.
+    """Eigendecompose a small Hermitian matrix, or a stack of them.
 
     Parameters
     ----------
-    m : (n, n) array_like
-        Hermitian matrix, n <= 64.  Hermiticity is checked against
+    m : (n, n) or (k, n, n) array_like
+        Hermitian matrix, n <= 64, or a stack of k such matrices.
+        Hermiticity is checked per matrix against
         max|m - m^dagger| <= 1e-12 * max|m|.
 
     Returns
     -------
     SpectralDecomposition
-        Eigenvalues ascending; eigenvector columns orthonormal.  The
-        reconstruction residual ||m - V diag(E) V^dagger||_max is verified
-        against 1e-12 * max|m| before returning.
+        Eigenvalues ascending; eigenvector columns orthonormal.  For each
+        matrix the reconstruction residual ||m - V diag(E) V^dagger||_max is
+        verified against 1e-12 * max|m| before returning.
 
     Raises
     ------
@@ -103,7 +114,7 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
         If the backend fails or the residual/orthonormality bound is violated.
     """
     m = _require_hermitian(m)
-    n = m.shape[0]
+    n = m.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     try:
@@ -111,17 +122,11 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
-    scale = float(np.max(np.abs(m))) if n else 0.0
-    residual = float(
-        np.max(np.abs(m - (eigenvectors * eigenvalues) @ eigenvectors.conj().T))
-    )
-    if residual > RESIDUAL_RTOL * max(scale, 1e-300):
-        raise NoConvergence(
-            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e}"
-        )
-    ortho = float(np.max(np.abs(eigenvectors.conj().T @ eigenvectors - np.eye(n))))
-    if ortho > ORTHONORMALITY_TOL:
-        raise NoConvergence(f"eigenvector orthonormality defect {ortho:.3e}")
+    residual = _entry_max(m - (eigenvectors * eigenvalues[..., None, :]) @ _dagger(eigenvectors))
+    _require_within(residual, RESIDUAL_RTOL * np.maximum(_entry_max(m), 1e-300),
+                    NoConvergence, "reconstruction residual")
+    ortho = _entry_max(_dagger(eigenvectors) @ eigenvectors - np.eye(n))
+    _require_within(ortho, ORTHONORMALITY_TOL, NoConvergence, "eigenvector orthonormality defect")
 
     eigenvalues = np.real(eigenvalues)
     eigenvalues.setflags(write=False)
@@ -135,24 +140,24 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
     Parameters
     ----------
     decomp : SpectralDecomposition
-        Decomposition of the (Hermitian) generator.
+        Decomposition of the (Hermitian) generator, or of a stack of k.
     psi0 : (n,) array_like
-        Normalized initial state (tolerance 1e-10).
+        Normalized initial state (tolerance 1e-10), shared by the stack.
     t : float or (nt,) array_like
         Time(s), units 1/g0.
 
     Returns
     -------
     np.ndarray
-        psi(t) with shape (n,) for scalar t, else (nt, n).  The norm is
-        conserved to 1e-12 for any t.
+        psi(t) with shape (n,) for scalar t, else (nt, n); a stack puts its
+        axis of length k in front.  The norm is conserved to 1e-12 for any t.
     """
     psi0 = _require_normalized(psi0, decomp.dim)
-    coeff = decomp.eigenvectors.conj().T @ psi0
+    coeff = _dagger(decomp.eigenvectors) @ psi0
     t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(np.atleast_1d(t_arr), decomp.eigenvalues))
-    out = (phases * coeff) @ decomp.eigenvectors.T
-    return out[0] if t_arr.ndim == 0 else out
+    phases = np.exp(-1j * (np.atleast_1d(t_arr)[:, None] * decomp.eigenvalues[..., None, :]))
+    out = (phases * coeff[..., None, :]) @ np.swapaxes(decomp.eigenvectors, -1, -2)
+    return out[..., 0, :] if t_arr.ndim == 0 else out
 
 
 def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
@@ -160,11 +165,15 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
 
     Independent of the spectral route; no renormalization is applied, so the
     norm drift is a usable accuracy diagnostic.  The final step is shortened
-    when t_final is not an integer multiple of dt.
+    when t_final is not an integer multiple of dt.  One RK4 step of this linear
+    system is the matrix T(s) = sum_{k<=4} (-i H s)^k / k!, the RK4 stability
+    function (Hairer, Norsett & Wanner I, sec. II.2); n steps are T(dt)^n.
 
     Raises InvalidStep for dt <= 0, t_final < 0, or dt > t_final > 0.
     """
     h = _require_hermitian(h)
+    if h.ndim != 2:
+        raise DimensionMismatch(f"expected a single matrix, got shape {h.shape}")
     if dt <= 0.0:
         raise InvalidStep(f"dt = {dt!r} must be positive")
     if t_final < 0.0:
@@ -175,19 +184,15 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     if t_final == 0.0:
         return psi.copy()
 
-    gen = -1j * h
     n_full = int(np.floor(t_final / dt + 1e-12))
     remainder = t_final - n_full * dt
+    eye = np.eye(h.shape[0])
 
-    def step(psi, s):
-        k1 = gen @ psi
-        k2 = gen @ (psi + (0.5 * s) * k1)
-        k3 = gen @ (psi + (0.5 * s) * k2)
-        k4 = gen @ (psi + s * k3)
-        return psi + (s / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    def step(s):  # T(s) in Horner form
+        a = -1j * s * h
+        return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
 
-    for _ in range(n_full):
-        psi = step(psi, dt)
+    psi = np.linalg.matrix_power(step(dt), n_full) @ psi
     if remainder > 1e-12 * dt:
-        psi = step(psi, remainder)
+        psi = step(remainder) @ psi
     return psi

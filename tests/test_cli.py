@@ -174,6 +174,16 @@ class TestPeaks:
         assert abs(float(optimum[header.index("rddi")]) - 0.707107) <= 1e-4
         assert abs(float(optimum[header.index("c_peak")]) - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("g1, rddi", [("1e-200", "5e-201"), ("1e200", "5e199")])
+    def test_extreme_scales(self, g1, rddi):
+        code, out, _ = run_cli("peaks", "--g1", g1, "--rddi", rddi)
+        assert code == 0
+        header, rows = parse_csv(out)
+        _, unit_out, _ = run_cli("peaks", "--g1", "1", "--rddi", "0.5")
+        unit_header, unit_rows = parse_csv(unit_out)
+        c_peak = column(header, rows, "c_peak")[0]
+        assert abs(c_peak - column(unit_header, unit_rows, "c_peak")[0]) <= 1e-15
+
     def test_zero_g1_refused(self):
         code, _, err = run_cli("peaks", "--g1", "0", "--rddi", "0.5")
         assert code == 2

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cavitypair import (
+    CavityPairError,
     DegenerateModel,
     InitialState,
     ModelParams,
     TimeSeries,
     UnnormalizedState,
+    analytic_spectrum,
     ZeroCoupling,
     closed_form_concurrence,
     concurrence_series,
@@ -291,3 +293,31 @@ class TestPeakOptimum:
             peak_optimum(0.0)
         with pytest.raises(ValueError):
             scan_peak_optimum(-1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ModelParams(g1=-1.0),
+        lambda: InitialState(alpha=float("nan")),
+        lambda: TimeSeries(times=np.array([1.0, 0.0]), values=np.zeros(2)),
+        lambda: analytic_spectrum(ModelParams(g1=1.0, g2=0.1)),
+        lambda: peak_report(ModelParams(g1=1.0, g2=0.1, rddi=0.5)),
+        lambda: closed_form_concurrence(-1.0, 0.5, 1.0),
+    ],
+    ids=["ModelParams", "InitialState", "TimeSeries", "analytic_spectrum", "peak_report", "closed_form"],
+)
+def test_input_errors_are_package_errors(call):
+    with pytest.raises(CavityPairError):
+        call()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_peak_analytics_scale_free(scale):
+    report = peak_report(ModelParams(g1=scale, rddi=0.5 * scale))
+    assert abs(report.c_peak - C_PEAK) <= 1e-15
+    assert abs(peak_height(scale, 0.5 * scale) - C_PEAK) <= 1e-15
+    assert abs(closed_form_concurrence(scale, 0.5 * scale, T_PEAK / scale) - C_PEAK) <= 1e-12
+    rddi_opt, c_max = scan_peak_optimum(scale)
+    assert abs(rddi_opt / scale - 1.0 / math.sqrt(2.0)) <= 1e-6
+    assert abs(c_max - 1.0) <= 1e-6

@@ -213,3 +213,38 @@ class TestMesh:
             mesh(GEO, np.array([]), np.array([0.0]))
         with pytest.raises(ParameterError):
             mesh(GEO, np.array([0.0]), np.array([]))
+
+    def test_rejects_descending_times(self):
+        with pytest.raises(ParameterError):
+            mesh(GEO, np.array([0.0]), np.array([1.0, 0.0]))
+
+
+STANDING_WAVE = CavityGeometry(standing_wave=True)
+# Atom 1 half a standing-wave period from the antinode, where g1 < 0.
+ANTI_PHASE_X1 = STANDING_WAVE.lambda_um / (2.0 * STANDING_WAVE.w0_um)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize(
+        "geo, x1",
+        [(STANDING_WAVE, ANTI_PHASE_X1), (CavityGeometry(rddi_a=1e308), GEO.x2 + 1e-3)],
+        ids=["negative-g1", "infinite-rddi"],
+    )
+    def test_invalid_coupling_raises_model_params_error(self, geo, x1):
+        with np.errstate(over="ignore"):
+            g1, g2, rddi = coupling_at(geo, x1), coupling_at(geo, geo.x2), rddi_at(geo, abs(x1 - geo.x2))
+            with pytest.raises(ParameterError) as scalar:
+                ModelParams(g1=g1, g2=g2, rddi=rddi)
+            grid = np.array([0.0, x1]) if x1 > 0.0 else np.array([x1, 0.0])
+            for run in (lambda: sweep_position(geo, grid), lambda: mesh(geo, grid, np.linspace(0.0, 1.0, 4))):
+                with pytest.raises(ParameterError) as batch:
+                    run()
+                assert type(batch.value) is type(scalar.value)
+                assert str(batch.value) == str(scalar.value)
+
+    def test_coincident_atoms_anywhere_on_the_grid(self):
+        grid = np.array([-6.0, GEO.x2, -4.0])
+        with pytest.raises(CoincidentAtoms):
+            mesh(GEO, grid, np.linspace(0.0, 1.0, 4))
+        with pytest.raises(CoincidentAtoms):
+            sweep_position(GEO, grid)

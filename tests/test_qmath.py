@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitypair import (
     DimensionMismatch,
@@ -137,6 +139,37 @@ class TestEvolveSpectral:
             evolve_spectral(decomp, np.array([1.0, 1.0, 0.0]), 1.0)
         with pytest.raises(DimensionMismatch):
             evolve_spectral(decomp, np.array([1.0, 0.0]), 1.0)
+
+
+LOG_COUPLING = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+class TestStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        couplings=st.lists(st.tuples(LOG_COUPLING, LOG_COUPLING, LOG_COUPLING), min_size=1, max_size=8),
+        times=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=6),
+    )
+    def test_stack_matches_per_matrix_and_keeps_norm(self, couplings, times):
+        stack = np.array([h_model(g1, rddi, g2) for g1, g2, rddi in couplings])
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        batch = evolve_spectral(hermitian_eigendecompose(stack), psi0, times)
+        assert batch.shape == (len(couplings), len(times), 3)
+        for h, rows in zip(stack, batch):
+            single = evolve_spectral(hermitian_eigendecompose(h), psi0, times)
+            assert np.max(np.abs(rows - single)) <= 1e-12
+        assert np.max(np.abs(np.linalg.norm(batch, axis=-1) - 1.0)) <= 1e-12
+
+    def test_scalar_time_drops_time_axis(self):
+        stack = np.array([h_model(1.0, 0.5), h_model(0.3, 0.2, 0.1)])
+        out = evolve_spectral(hermitian_eigendecompose(stack), np.array([1.0, 0.0, 0.0]), T_PEAK)
+        assert out.shape == (2, 3)
+
+    def test_one_non_hermitian_member_rejected(self):
+        stack = np.array([h_model(1.0, 0.5), h_model(1.0, 0.5), h_model(1e-6, 1e-6)])
+        stack[2, 0, 1] += 1e-13  # beyond 1e-12 of its own scale, within 1e-12 of the others'
+        with pytest.raises(NonHermitianInput, match="matrix 2"):
+            hermitian_eigendecompose(stack)
 
 
 class TestRk4:
