@@ -28,6 +28,13 @@ from .qmath import NORM_TOL, _require_normalized, evolve_spectral, hermitian_eig
 
 # Height of |sin(x)|(1 - cos(x)) at its maxima x = (3m +/- 1) pi/3.
 _PEAK_SHAPE = 3.0 * math.sqrt(3.0) / 4.0
+# The amplitude is at most 1/_PEAK_SHAPE exactly (at Gamma = g1/sqrt(2)), but
+# its rounded value can exceed that by an ulp; clamping it to the largest
+# double whose product with _PEAK_SHAPE rounds to <= 1 removes only rounding
+# and makes every peak height <= 1 (rounded products are monotone).
+_AMPLITUDE_MAX = 1.0 / _PEAK_SHAPE
+while _AMPLITUDE_MAX * _PEAK_SHAPE > 1.0:
+    _AMPLITUDE_MAX = math.nextafter(_AMPLITUDE_MAX, 0.0)
 # Golden-section shrink factor per evaluation, and its relative stopping width.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SQRT_EPS = 1.5e-8
@@ -141,7 +148,7 @@ def peak_amplitude(g1, rddi):
     m = np.maximum(g1, rddi)
     a, b = g1 / m, rddi / m
     omega = np.hypot(a, b)
-    out = 2.0 * a * a * b / (omega * omega * omega)
+    out = np.minimum(2.0 * a * a * b / (omega * omega * omega), _AMPLITUDE_MAX)
     return float(out) if out.ndim == 0 else out
 
 
@@ -197,7 +204,7 @@ def peak_report(params: ModelParams) -> PeakReport:
 
 
 def peak_height(g1: float, rddi: float) -> float:
-    """Peak concurrence (2 g1^2 Gamma/Omega^3)(3 sqrt(3)/4) as a function of Gamma."""
+    """Peak concurrence (2 g1^2 Gamma/Omega^3)(3 sqrt(3)/4) as a function of Gamma, at most 1."""
     if g1 == 0.0 and rddi == 0.0:
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
     return peak_amplitude(g1, rddi) * _PEAK_SHAPE

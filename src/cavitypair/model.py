@@ -97,10 +97,10 @@ def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
         raise DegenerateModel("g1 = rddi = 0: no bright doublet, period undefined")
 
     dark = np.array([gamma, 0.0, -g1]) / omega
-    # Sign convention: first non-zero component positive.
-    first = dark[np.nonzero(dark)[0][0]]
-    if first < 0.0:
-        dark = -dark
+    # Sign convention: first non-zero component positive; flipping only the
+    # non-zero entries keeps the zeros +0 (a negated 0 would print as -0).
+    sign = math.copysign(1.0, dark[np.nonzero(dark)[0][0]])
+    dark = np.where(dark == 0.0, 0.0, sign * dark)
     root2 = math.sqrt(2.0)
     bright_plus = np.array([g1, omega, gamma]) / (root2 * omega)
     bright_minus = np.array([g1, -omega, gamma]) / (root2 * omega)

@@ -143,8 +143,9 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
         Decomposition of the (Hermitian) generator, or of a stack of k.
     psi0 : (n,) array_like
         Normalized initial state (tolerance 1e-10), shared by the stack.
-    t : float or (nt,) array_like
-        Time(s), units 1/g0.
+    t : float, (nt,) or (k, nt) array_like
+        Time(s), units 1/g0; (k, nt) gives each member of a stack of k its
+        own time grid.
 
     Returns
     -------
@@ -155,7 +156,7 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
     psi0 = _require_normalized(psi0, decomp.dim)
     coeff = _dagger(decomp.eigenvectors) @ psi0
     t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * (np.atleast_1d(t_arr)[:, None] * decomp.eigenvalues[..., None, :]))
+    phases = np.exp(-1j * (np.atleast_1d(t_arr)[..., None] * decomp.eigenvalues[..., None, :]))
     out = (phases * coeff[..., None, :]) @ np.swapaxes(decomp.eigenvectors, -1, -2)
     return out[..., 0, :] if t_arr.ndim == 0 else out
 

@@ -50,6 +50,13 @@ class TestSpectrum:
         np.testing.assert_allclose(
             column(header, rows, "eigenvalue_numeric"), [-1.0, 0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("g1, rddi", [("1", "0"), ("0", "1")])
+    def test_no_negative_zero(self, g1, rddi):
+        code, out, _ = run_cli("spectrum", "--g1", g1, "--rddi", rddi)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(cell != "-0" for row in rows for cell in row)
+
     def test_degenerate_exit(self):
         code, _, err = run_cli("spectrum", "--g1", "0", "--rddi", "0")
         assert code == 2
@@ -173,6 +180,13 @@ class TestPeaks:
         optimum = rows[-1]
         assert abs(float(optimum[header.index("rddi")]) - 0.707107) <= 1e-4
         assert abs(float(optimum[header.index("c_peak")]) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("scan", ["0.5:0.9:3", "0.01:2:200"])
+    def test_scan_never_above_one(self, scan):
+        code, out, _ = run_cli("peaks", "--g1", "1", "--scan-rddi", scan)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert max(column(header, rows, "c_peak")) <= 1.0
 
     @pytest.mark.parametrize("g1, rddi", [("1e-200", "5e-201"), ("1e200", "5e199")])
     def test_extreme_scales(self, g1, rddi):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitypair import (
     CavityPairError,
@@ -287,6 +289,14 @@ class TestPeakOptimum:
         above = [peak_height(1.0, r) for r in np.linspace(0.72, 5.0, 40)]
         assert np.all(np.diff(below) > 0.0)
         assert np.all(np.diff(above) < 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-1e-6, max_value=1e-6).map(lambda d: (1.0 + d) / math.sqrt(2.0)),
+    ))
+    def test_height_never_above_one(self, rddi):
+        assert 0.0 <= peak_height(1.0, rddi) <= 1.0
 
     def test_rejects_nonpositive_g1(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitypair import (
     CavityGeometry,
@@ -16,6 +18,7 @@ from cavitypair import (
     mesh,
     numeric_peak_concurrence,
     params_at,
+    peak_height,
     peak_report,
     rddi_at,
     sweep_position,
@@ -165,6 +168,12 @@ class TestSweep:
         rel = np.abs(result.c_peak_numeric - result.c_peak) / result.c_peak
         assert np.max(rel) <= 1e-6
 
+    def test_numeric_column_within_g2_truncation_bound(self):
+        result = sweep_position(GEO, np.linspace(-2.0, 2.0, 101), numeric_peaks=True)
+        g2 = coupling_at(GEO, GEO.x2)
+        bound = 2.0 * math.sqrt(2.0) * g2 * result.period + 1e-14
+        assert np.all(np.abs(result.c_peak_numeric - result.c_peak) <= bound)
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ParameterError):
             sweep_position(GEO, np.array([]))
@@ -177,15 +186,79 @@ class TestSweep:
         assert np.all(result.g1 > 0.0) and np.all(result.rddi > 0.0)
 
 
+def dense_peak(g1, g2, rddi):
+    """Reference maximum of C over [0, 2 pi/Omega] from a real eigh propagation.
+
+    A grid of spacing 0.05/W (W the spectral width) puts every maximum within
+    0.25% of a sample; each sampled local maximum within 1% of the largest is
+    then zoomed in on with 41-point grids.
+    """
+    h = np.array([[0.0, g1, g2], [g1, 0.0, rddi], [g2, rddi, 0.0]])
+    energies, vectors = np.linalg.eigh(h)
+
+    def conc(t):
+        psi = (np.exp(-1j * t[..., None] * energies) * vectors[0]) @ vectors.T
+        return 2.0 * np.abs(psi[..., 1] * np.conj(psi[..., 2]))
+
+    period = 2.0 * math.pi / math.hypot(g1, rddi)
+    t = np.linspace(0.0, period, int(period * (energies[-1] - energies[0]) / 0.05) + 2)
+    c = conc(t)
+    inner = np.flatnonzero((c[1:-1] >= c[:-2]) & (c[1:-1] >= c[2:])) + 1
+    peaks = np.concatenate([[0, t.size - 1], inner[c[inner] >= 0.99 * c.max()]])
+    lo, hi = t[np.maximum(peaks - 1, 0)], t[np.minimum(peaks + 1, t.size - 1)]
+    best = c.max()
+    for _ in range(8):
+        grid = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, 41)
+        values = conc(grid)
+        k = values.argmax(axis=1)
+        index = np.arange(k.size)
+        best = max(best, values[index, k].max())
+        lo, hi = grid[index, np.maximum(k - 1, 0)], grid[index, np.minimum(k + 1, 40)]
+    return best
+
+
+NEAR_WAIST = CavityGeometry(x2=-0.5)
+
+
 class TestNumericPeak:
     def test_matches_closed_form_without_g2(self):
         p = ModelParams(g1=1.0, rddi=0.5)
         value = numeric_peak_concurrence(p)
         assert value == pytest.approx(0.9295160030897799, rel=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
+    def test_equals_closed_form_without_g2(self, log_g1, log_rddi):
+        g1, rddi = 10.0**log_g1, 10.0**log_rddi
+        value = numeric_peak_concurrence(ModelParams(g1=g1, rddi=rddi))
+        assert isinstance(value, float)
+        assert abs(value - peak_height(g1, rddi)) <= 1e-14 * peak_height(g1, rddi)
+
+    def test_near_waist_matches_dense_reference(self):
+        p = params_at(NEAR_WAIST, np.linspace(-2.0, 2.0, 21))
+        got = numeric_peak_concurrence(p)
+        want = np.array([dense_peak(g1, p.g2, rddi) for g1, rddi in zip(p.g1, p.rddi)])
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_wide_spectrum_matches_dense_reference(self):
+        p = params_at(NEAR_WAIST, 3.0)
+        width = np.ptp(np.linalg.eigvalsh(np.array([[0, p.g1, p.g2], [p.g1, 0, p.rddi], [p.g2, p.rddi, 0]])))
+        assert width / p.omega > 5000.0
+        want = dense_peak(p.g1, p.g2, p.rddi)
+        assert abs(numeric_peak_concurrence(p) - want) <= 1e-12 * want
+
+    def test_grid_equals_scalar_calls(self):
+        for geo in (GEO, NEAR_WAIST):
+            x1 = np.linspace(-2.0, 2.0, 13)
+            grid = numeric_peak_concurrence(params_at(geo, x1))
+            assert grid.shape == x1.shape
+            np.testing.assert_array_equal(grid, [numeric_peak_concurrence(params_at(geo, x)) for x in x1])
+
     def test_degenerate(self):
         with pytest.raises(DegenerateModel):
             numeric_peak_concurrence(ModelParams(g1=0.0))
+        with pytest.raises(DegenerateModel):
+            numeric_peak_concurrence(ModelParams(g1=np.array([1.0, 0.0, 0.5]), rddi=np.array([0.5, 0.0, 0.0])))
 
 
 class TestMesh:

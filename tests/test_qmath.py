@@ -160,6 +160,16 @@ class TestStack:
             assert np.max(np.abs(rows - single)) <= 1e-12
         assert np.max(np.abs(np.linalg.norm(batch, axis=-1) - 1.0)) <= 1e-12
 
+    def test_per_member_time_grids_match_single_calls(self):
+        stack = np.array([h_model(1.0, 0.5), h_model(0.3, 0.2, 0.1), h_model(2.0, 1e-3, 0.7)])
+        times = np.array([[0.0, 0.5, 3.0], [1.0, 2.0, 40.0], [T_PEAK, 7.0, 100.0]])
+        psi0 = np.array([1.0, 0.0, 0.0])
+        batch = evolve_spectral(hermitian_eigendecompose(stack), psi0, times)
+        assert batch.shape == (3, 3, 3)
+        for h, t, rows in zip(stack, times, batch):
+            single = evolve_spectral(hermitian_eigendecompose(h), psi0, t)
+            assert np.max(np.abs(rows - single)) <= 1e-15
+
     def test_scalar_time_drops_time_axis(self):
         stack = np.array([h_model(1.0, 0.5), h_model(0.3, 0.2, 0.1)])
         out = evolve_spectral(hermitian_eigendecompose(stack), np.array([1.0, 0.0, 0.0]), T_PEAK)
