@@ -237,12 +237,13 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first significant component is real positive.
 
     Matches the sign convention of the analytic eigenvectors, keeping the
-    side-by-side CSV columns directly comparable.
+    side-by-side CSV columns directly comparable; zeros stay +0 (a rotated 0
+    could print as -0).
     """
     magnitudes = np.abs(vec)
     pivot = vec[int(np.argmax(magnitudes > 1e-8 * magnitudes.max()))]
     if pivot != 0.0:
-        vec = vec * np.conj(pivot / abs(pivot))
+        vec = np.where(vec == 0.0, 0.0, vec * np.conj(pivot / abs(pivot)))
     return vec
 
 

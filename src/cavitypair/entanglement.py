@@ -105,13 +105,13 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     np.fill_diagonal(off_pattern, 0.0)
     off_pattern[1, 2] = 0.0
     off_pattern[2, 1] = 0.0
-    stray = float(np.max(np.abs(off_pattern)))
+    stray = float(np.abs(off_pattern).max())
     if stray > PATTERN_TOL:
         raise PatternMismatch(f"off-pattern element of magnitude {stray:.3e} present")
 
     populations = np.real(np.diag(rho))
-    if float(np.min(populations)) < -PSD_TOL:
-        raise InvalidDensityMatrix(f"negative population {np.min(populations)!r}")
+    if float(populations.min()) < -PSD_TOL:
+        raise InvalidDensityMatrix(f"negative population {populations.min()!r}")
     coherence = abs(complex(rho[1, 2]))
     # PSD of the central 2x2 block, checked in closed form.
     block_min = 0.5 * (populations[1] + populations[2]) - np.hypot(

@@ -29,12 +29,15 @@ from .qmath import SpectralDecomposition, evolve_spectral, hermitian_eigendecomp
 HZ_PER_MHZ = 1e6
 # Numeric peak search: coarse-grid intervals per period at least, largest W h
 # (W the spectral width), points evaluated per slice (bounds memory at any
-# W/Omega), points per bracket per zoom round, and the W * bracket width at
-# which the zoom stops (C is then exact to about eps).
+# W/Omega), points per bracket in the first zoom round (it runs on every
+# coarse candidate, so few points keep it cheap) and in later rounds (on the
+# few survivors, where more points per round mean fewer rounds), and the
+# W * bracket width at which the zoom stops (C is then exact to about eps).
 _COARSE_INTERVALS = 64
 _COARSE_WH = 0.2
 _SLICE_POINTS = 2**18
-_ZOOM_POINTS = 17
+_ZOOM_POINTS = 9
+_ZOOM_POINTS_LATER = 17
 _ZOOM_STOP = 5e-8
 
 
@@ -191,24 +194,27 @@ def _concurrence_at(decomp: SpectralDecomposition, rows: np.ndarray, t: np.ndarr
 def _zoom(decomp, rows, lo, hi, best, curvature, width) -> None:
     """Raise best[rows] to the maximum of C inside each bracket [lo, hi] of model rows.
 
-    Each round samples _ZOOM_POINTS times per bracket and keeps the two
-    intervals around the largest sample; a bracket whose largest C^2 is more
-    than curvature * spacing^2 below its row's best cannot hold the maximum
-    and is dropped, and one narrower than _ZOOM_STOP/width is done.
+    Each round samples _ZOOM_POINTS times per bracket (_ZOOM_POINTS_LATER
+    after the first round) and keeps the two intervals around the largest
+    sample; a bracket whose largest C^2 is more than curvature * spacing^2
+    below its row's best cannot hold the maximum and is dropped, and one
+    narrower than _ZOOM_STOP/width is done.
     """
-    fraction = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    fraction, later = (np.linspace(0.0, 1.0, n) for n in (_ZOOM_POINTS, _ZOOM_POINTS_LATER))
     while rows.size:
+        last = fraction.size - 1
         t = lo[:, None] + (hi - lo)[:, None] * fraction
         values = _concurrence_at(decomp, rows, t)
         k = np.argmax(values, axis=1)
         index = np.arange(rows.size)
         top = values[index, k]
         np.maximum.at(best, rows, top)
-        live = top**2 >= best[rows] ** 2 - curvature[rows] * ((hi - lo) / (_ZOOM_POINTS - 1)) ** 2
+        live = top**2 >= best[rows] ** 2 - curvature[rows] * ((hi - lo) / last) ** 2
         lo = t[index, np.maximum(k - 1, 0)]
-        hi = t[index, np.minimum(k + 1, _ZOOM_POINTS - 1)]
+        hi = t[index, np.minimum(k + 1, last)]
         live &= width[rows] * (hi - lo) > _ZOOM_STOP
         rows, lo, hi = rows[live], lo[live], hi[live]
+        fraction = later
 
 
 def numeric_peak_concurrence(params: ModelParams):
@@ -271,7 +277,7 @@ def numeric_peak_concurrence(params: ModelParams):
 
     lo = np.maximum(centre - 0.5 * h[rows], 0.0)
     hi = np.minimum(centre + 0.5 * h[rows], period[rows])
-    step = _SLICE_POINTS // _ZOOM_POINTS
+    step = _SLICE_POINTS // _ZOOM_POINTS_LATER
     for s in range(0, rows.size, step):
         _zoom(decomp, rows[s:s + step], lo[s:s + step], hi[s:s + step], best, curvature, width)
     best = best.reshape(shape)

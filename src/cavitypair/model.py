@@ -35,7 +35,10 @@ class ModelParams:
     rddi: float = 0.0
 
     def __post_init__(self):
-        values = np.array(np.broadcast_arrays(self.g1, self.g2, self.rddi), dtype=float)
+        fields = (self.g1, self.g2, self.rddi)
+        if np.broadcast(*fields).ndim:  # a grid; a single model skips the broadcast copies
+            fields = np.broadcast_arrays(*fields)
+        values = np.array(fields, dtype=float)
         ok = (values >= 0.0) & (values < math.inf)
         if not ok.all():
             index = tuple(np.argwhere(~ok)[0])
@@ -73,12 +76,15 @@ def build_single_excitation_h(params: ModelParams) -> np.ndarray:
      [g1, 0,  Gamma],
      [g2, Gamma, 0 ]]
 
-    A grid of models gives the stack of its Hamiltonians, shape s + (3, 3).
+    Real symmetric, float64; a grid of models gives the stack of its
+    Hamiltonians, shape s + (3, 3).
     """
-    g1, g2, gamma = np.broadcast_arrays(params.g1, params.g2, params.rddi)
-    zero = np.zeros_like(g1)
-    entries = [zero, g1, g2, g1, zero, gamma, g2, gamma, zero]
-    return np.stack(entries, axis=-1).astype(complex).reshape(g1.shape + (3, 3))
+    g1, g2, gamma = params.g1, params.g2, params.rddi
+    h = np.zeros(np.broadcast(g1, g2, gamma).shape + (3, 3))
+    h[..., 0, 1] = h[..., 1, 0] = g1
+    h[..., 0, 2] = h[..., 2, 0] = g2
+    h[..., 1, 2] = h[..., 2, 1] = gamma
+    return h
 
 
 def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
@@ -133,7 +139,4 @@ def build_effective_h(params: ModelParams) -> np.ndarray:
     if params.g1 == 0.0:
         raise DivisionByZeroCoupling("effective Hamiltonian requires g1 > 0")
     chi = 2.0 * math.sqrt(2.0) * params.rddi**2 / params.g1
-    return np.array(
-        [[0.0, params.g1, 0.0], [params.g1, chi, 0.0], [0.0, 0.0, -chi]],
-        dtype=complex,
-    )
+    return np.array([[0.0, params.g1, 0.0], [params.g1, chi, 0.0], [0.0, 0.0, -chi]])

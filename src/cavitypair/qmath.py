@@ -1,9 +1,11 @@
-"""Small dense complex linear algebra for the single-excitation problem.
+"""Small dense linear algebra for the single-excitation problem.
 
-Provides the Hermitian eigendecomposition used throughout the package, the
-spectral propagator psi(t) = sum_i exp(-i E_i t) <phi_i|psi0> |phi_i>, and a
-fixed-step Runge-Kutta integrator that serves as an independent cross-check of
-the spectral route.  hbar = 1 everywhere; frequencies are dimensionless
+Provides the Hermitian eigendecomposition used throughout the package (real
+symmetric input, such as the model Hamiltonian, stays real and runs the real
+solver), the spectral propagator
+psi(t) = sum_i exp(-i E_i t) <phi_i|psi0> |phi_i>, and a fixed-step
+Runge-Kutta integrator that serves as an independent cross-check of the
+spectral route.  hbar = 1 everywhere; frequencies are dimensionless
 (units of the maximum coupling g0) and times carry units 1/g0.
 
 All operations are pure functions of immutable inputs and are safe to call
@@ -44,37 +46,46 @@ class SpectralDecomposition:
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m.conj(), -1, -2)
+    return m.conj().swapaxes(-1, -2)
 
 
 def _entry_max(m: np.ndarray) -> np.ndarray:
     """max |m_ij| of each matrix of a stack (0 for empty matrices)."""
-    return np.max(np.abs(m), axis=(-2, -1), initial=0.0)
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
 def _require_within(values, bounds, error, what: str) -> None:
-    """Raise ``error`` for the first matrix of a stack whose value exceeds its bound."""
+    """Raise ``error`` for the first matrix of a stack whose value exceeds its bound (or is NaN).
+
+    The common pass costs one comparison; only a failure locates the matrix.
+    """
+    if (values <= bounds).all():
+        return
     values, bounds = np.broadcast_arrays(values, bounds)
-    bad = np.flatnonzero(values > bounds)
-    if bad.size:
-        i = bad[0]
-        raise error(f"{what} {values.flat[i]:.3e} exceeds {bounds.flat[i]:.3e} (matrix {i})")
+    i = np.flatnonzero(~(values <= bounds))[0]
+    raise error(f"{what} {values.flat[i]:.3e} exceeds {bounds.flat[i]:.3e} (matrix {i})")
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Return max |m[i,j] - conj(m[j,i])|, the distance from Hermiticity."""
     m = np.asarray(m)
-    return float(np.max(_entry_max(m - _dagger(m)), initial=0.0))
+    return float(_entry_max(m - _dagger(m)).max(initial=0.0))
 
 
-def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|."""
-    m = np.asarray(m, dtype=complex)
+def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|.
+
+    Real input stays real (float64), anything else becomes complex128.  Returns
+    the matrix and the max|m_ij| of each member.
+    """
+    m = np.asarray(m)
+    m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    _require_within(_entry_max(m - _dagger(m)), HERMITICITY_RTOL * _entry_max(m),
+    scale = _entry_max(m)
+    _require_within(_entry_max(m - _dagger(m)), HERMITICITY_RTOL * scale,
                     NonHermitianInput, "Hermiticity defect")
-    return m
+    return m, scale
 
 
 def _require_normalized(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -102,9 +113,10 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     Returns
     -------
     SpectralDecomposition
-        Eigenvalues ascending; eigenvector columns orthonormal.  For each
-        matrix the reconstruction residual ||m - V diag(E) V^dagger||_max is
-        verified against 1e-12 * max|m| before returning.
+        Eigenvalues ascending; eigenvector columns orthonormal, real for
+        real input.  For each matrix the reconstruction residual
+        ||m - V diag(E) V^dagger||_max is verified against 1e-12 * max|m|
+        before returning.
 
     Raises
     ------
@@ -113,7 +125,7 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     NoConvergence
         If the backend fails or the residual/orthonormality bound is violated.
     """
-    m = _require_hermitian(m)
+    m, scale = _require_hermitian(m)
     n = m.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")
@@ -123,12 +135,11 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
     residual = _entry_max(m - (eigenvectors * eigenvalues[..., None, :]) @ _dagger(eigenvectors))
-    _require_within(residual, RESIDUAL_RTOL * np.maximum(_entry_max(m), 1e-300),
+    _require_within(residual, RESIDUAL_RTOL * np.maximum(scale, 1e-300),
                     NoConvergence, "reconstruction residual")
     ortho = _entry_max(_dagger(eigenvectors) @ eigenvectors - np.eye(n))
     _require_within(ortho, ORTHONORMALITY_TOL, NoConvergence, "eigenvector orthonormality defect")
 
-    eigenvalues = np.real(eigenvalues)
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
@@ -154,10 +165,16 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
         axis of length k in front.  The norm is conserved to 1e-12 for any t.
     """
     psi0 = _require_normalized(psi0, decomp.dim)
-    coeff = _dagger(decomp.eigenvectors) @ psi0
+    vectors = decomp.eigenvectors
+    coeff = _dagger(vectors) @ psi0
     t_arr = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * (np.atleast_1d(t_arr)[..., None] * decomp.eigenvalues[..., None, :]))
-    out = (phases * coeff[..., None, :]) @ np.swapaxes(decomp.eigenvectors, -1, -2)
+    angle = np.atleast_1d(t_arr)[..., None] * decomp.eigenvalues[..., None, :]
+    # exp(-i angle) = cos(angle) - i sin(angle), written into one buffer: no complex exp.
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.negative(angle, out=angle)
+    np.sin(angle, out=phases.imag)
+    out = (phases * coeff[..., None, :]) @ np.swapaxes(vectors, -1, -2)
     return out[..., 0, :] if t_arr.ndim == 0 else out
 
 
@@ -172,7 +189,7 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
 
     Raises InvalidStep for dt <= 0, t_final < 0, or dt > t_final > 0.
     """
-    h = _require_hermitian(h)
+    h, _ = _require_hermitian(h)
     if h.ndim != 2:
         raise DimensionMismatch(f"expected a single matrix, got shape {h.shape}")
     if dt <= 0.0:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavitypair import dynamics
 from cavitypair import (
     CavityPairError,
     DegenerateModel,
@@ -297,6 +298,32 @@ class TestPeakOptimum:
     ))
     def test_height_never_above_one(self, rddi):
         assert 0.0 <= peak_height(1.0, rddi) <= 1.0
+
+    def test_height_accepts_arrays(self):
+        ratios = np.linspace(0.0, 3.0, 31)
+        heights = peak_height(1.0, ratios)
+        assert heights.shape == (31,)
+        assert heights.tolist() == [peak_height(1.0, float(r)) for r in ratios]
+        with pytest.raises(DegenerateModel):
+            peak_height(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e))
+    def test_numeric_scan_at_every_scale(self, g1):
+        rddi_opt, c_max = scan_peak_optimum(g1)
+        assert abs(rddi_opt / (g1 / math.sqrt(2.0)) - 1.0) <= 1e-6
+        assert 1.0 - 1e-12 <= c_max <= 1.0
+
+    def test_numeric_scan_takes_at_most_8_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(g1, rddi):
+            calls.append(rddi)
+            return peak_height(g1, rddi)
+
+        monkeypatch.setattr(dynamics, "peak_height", counted)
+        scan_peak_optimum(1.0)
+        assert 1 <= len(calls) <= 8
 
     def test_rejects_nonpositive_g1(self):
         with pytest.raises(ValueError):

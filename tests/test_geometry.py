@@ -247,6 +247,13 @@ class TestNumericPeak:
         want = dense_peak(p.g1, p.g2, p.rddi)
         assert abs(numeric_peak_concurrence(p) - want) <= 1e-12 * want
 
+    def test_never_above_one_near_the_optimum(self):
+        # Gamma within 1e-6 relative of g1/sqrt(2), where C's rounding reached 1 + 7 ulp
+        u = np.linspace(-1.0, 1.0, 2001)
+        values = numeric_peak_concurrence(ModelParams(g1=1.0, rddi=(1.0 + 1e-6 * u) / math.sqrt(2.0)))
+        assert values.max() <= 1.0
+        assert values.min() >= 1.0 - 1e-11
+
     def test_grid_equals_scalar_calls(self):
         for geo in (GEO, NEAR_WAIST):
             x1 = np.linspace(-2.0, 2.0, 13)

@@ -43,6 +43,16 @@ class TestBuildH:
         np.testing.assert_array_equal(
             build_single_excitation_h(ModelParams(g1=0.0)), np.zeros((3, 3), dtype=complex))
 
+    def test_real_float64_for_a_model_and_a_grid(self):
+        h = build_single_excitation_h(ModelParams(g1=1.0, g2=0.1, rddi=0.5))
+        assert h.dtype == np.float64 and h.shape == (3, 3)
+        grid = build_single_excitation_h(
+            ModelParams(g1=np.array([1.0, 2.0]), g2=0.1, rddi=np.array([[0.5], [0.3]])))
+        assert grid.dtype == np.float64 and grid.shape == (2, 2, 3, 3)
+        np.testing.assert_array_equal(
+            grid[1, 0], build_single_excitation_h(ModelParams(g1=1.0, g2=0.1, rddi=0.3)))
+        assert build_effective_h(ModelParams(g1=1.0, rddi=0.3)).dtype == np.float64
+
     def test_tiny_g2_barely_moves_spectrum(self):
         base = hermitian_eigendecompose(
             build_single_excitation_h(ModelParams(g1=1.0, rddi=0.01))).eigenvalues

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from cavitypair import (
     DimensionMismatch,
+    InitialState,
     InvalidStep,
+    ModelParams,
+    NoConvergence,
     NonHermitianInput,
     UnnormalizedState,
+    evolve,
     evolve_spectral,
     hermitian_eigendecompose,
     hermiticity_defect,
@@ -79,6 +83,15 @@ class TestEigendecompose:
             hermitian_eigendecompose(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
             hermitian_eigendecompose(np.eye(65))
+
+    def test_real_input_gives_real_eigenvectors(self):
+        h = h_model(1.0, 0.5, 0.1).real
+        decomp = hermitian_eigendecompose(h)
+        assert decomp.eigenvalues.dtype == np.float64
+        assert decomp.eigenvectors.dtype == np.float64
+        complex_decomp = hermitian_eigendecompose(h.astype(complex))
+        assert complex_decomp.eigenvectors.dtype == np.complex128
+        np.testing.assert_allclose(decomp.eigenvalues, complex_decomp.eigenvalues, rtol=0.0, atol=1e-15)
 
     def test_results_read_only(self):
         decomp = hermitian_eigendecompose(h_model(1.0, 0.5))
@@ -179,6 +192,80 @@ class TestStack:
         stack = np.array([h_model(1.0, 0.5), h_model(1.0, 0.5), h_model(1e-6, 1e-6)])
         stack[2, 0, 1] += 1e-13  # beyond 1e-12 of its own scale, within 1e-12 of the others'
         with pytest.raises(NonHermitianInput, match="matrix 2"):
+            hermitian_eigendecompose(stack)
+
+
+def _exp_reference(h, psi0, t):
+    """psi(t) from complex eigh of H cast to complex and np.exp phases, time grid t."""
+    e, v = np.linalg.eigh(h.astype(complex))
+    return (np.exp(-1j * np.multiply.outer(t, e)) * (v.conj().T @ psi0)) @ v.T
+
+
+class TestRealKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        couplings=st.lists(st.tuples(LOG_COUPLING, LOG_COUPLING, LOG_COUPLING), min_size=1, max_size=6),
+        taus=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5),
+    )
+    def test_evolve_matches_complex_exp_reference(self, couplings, taus):
+        # times in units of each member's largest coupling, so |E t| stays <= ~200
+        g1, g2, rddi = (np.array(column) for column in zip(*couplings))
+        times = np.array(taus) / np.maximum(np.maximum(g1, g2), rddi)[:, None]
+        init = InitialState(alpha=0.6, beta=0.8j)
+        stacked = evolve(ModelParams(g1=g1, g2=g2, rddi=rddi), init, times)
+        assert stacked.shape == (len(couplings), len(taus), 3)
+        for k in range(len(couplings)):
+            params = ModelParams(g1=g1[k], g2=g2[k], rddi=rddi[k])
+            want = _exp_reference(h_model(g1[k], rddi[k], g2[k]), init.vector(), times[k])
+            assert np.max(np.abs(stacked[k] - want)) <= 1e-12
+            scalar = evolve(params, init, times[k, -1])
+            assert scalar.shape == (3,)
+            assert np.max(np.abs(scalar - want[-1])) <= 1e-12
+
+
+class TestChecksNameTheMatrix:
+    @staticmethod
+    def _corrupt_eigh(monkeypatch, corrupt):
+        true_eigh = np.linalg.eigh
+
+        def eigh(m):
+            eigenvalues, eigenvectors = true_eigh(m)
+            corrupt(eigenvalues, eigenvectors)
+            return eigenvalues, eigenvectors
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+    def test_non_hermitian_real_member(self):
+        stack = np.array([h_model(1.0, 0.5).real] * 3)
+        stack[1, 2, 0] += 1e-9
+        assert stack.dtype == np.float64
+        with pytest.raises(NonHermitianInput, match=r"Hermiticity defect .* \(matrix 1\)"):
+            hermitian_eigendecompose(stack)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_member_rejected(self, dtype):
+        stack = np.array([h_model(1.0, 0.5).real, h_model(0.3, 0.2, 0.1).real]).astype(dtype)
+        stack[1, 0, 1] = stack[1, 1, 0] = np.nan
+        with pytest.raises(NonHermitianInput, match=r"\(matrix 1\)"), np.errstate(invalid="ignore"):
+            hermitian_eigendecompose(stack)
+
+    def test_bad_residual(self, monkeypatch):
+        def corrupt(eigenvalues, eigenvectors):
+            eigenvalues[2, 0] *= 1.0 + 1e-9
+
+        self._corrupt_eigh(monkeypatch, corrupt)
+        stack = np.array([h_model(1.0, 0.5).real, h_model(0.3, 0.2, 0.1).real, h_model(2.0, 1e-3).real])
+        with pytest.raises(NoConvergence, match=r"reconstruction residual .* \(matrix 2\)"):
+            hermitian_eigendecompose(stack)
+
+    def test_bad_orthonormality(self, monkeypatch):
+        # stretch the dark mode (eigenvalue ~1e-17): V diag(E) V^T moves by ~1e-20, V^T V by 2e-3
+        def corrupt(eigenvalues, eigenvectors):
+            eigenvectors[1, :, 1] *= 1.001
+
+        self._corrupt_eigh(monkeypatch, corrupt)
+        stack = np.array([h_model(1.0, 0.5).real, h_model(1.0, 0.5).real])
+        with pytest.raises(NoConvergence, match=r"orthonormality defect .* \(matrix 1\)"):
             hermitian_eigendecompose(stack)
 
 
