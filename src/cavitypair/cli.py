@@ -12,6 +12,7 @@ repeated runs are byte-identical.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -34,24 +35,11 @@ from .model import ModelParams, analytic_spectrum, build_effective_h, build_sing
 from .qmath import evolve_spectral, hermitian_eigendecompose, rk4_schrodinger
 from .svgplot import line_plot, raster_plot
 
-FLOAT_KEYS = {
-    "g1", "g2", "rddi", "x1",
-    "alpha_re", "alpha_im", "beta_re", "beta_im",
-    "t_max", "x1_min", "x1_max",
-    "g0_mhz", "w0_um", "lambda_um", "x2", "gamma_ref_hz", "r_ref",
-    "rddi_a", "rddi_b", "rddi_c3",
-}
-INT_KEYS = {"t_steps", "x1_steps"}
-STR_KEYS = {"scan_rddi", "out", "format", "kind"}
-BOOL_KEYS = {"standing_wave", "numeric_peaks"}
-KNOWN_KEYS = FLOAT_KEYS | INT_KEYS | STR_KEYS | BOOL_KEYS
-
-GEOMETRY_KEYS = {
-    "g0_mhz", "w0_um", "lambda_um", "x2", "standing_wave",
-    "gamma_ref_hz", "r_ref", "rddi_a", "rddi_b", "rddi_c3",
-}
+GEOMETRY_KEYS = {field.name for field in dataclasses.fields(CavityGeometry)}
 DIRECT_KEYS = {"g1", "g2", "rddi"}
 
+# Not argparse defaults: those would land in the namespace and hide whether a
+# flag was given, which the precedence and mode rules of _merge_config need.
 DEFAULT_X1 = -2.0
 DEFAULT_T_STEPS = 1000
 DEFAULT_MESH_T_STEPS = 200
@@ -83,8 +71,11 @@ def _parse_bool(text: str) -> bool:
     raise ParameterError(f"not a boolean: {text!r}")
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat key=value file; blank lines and #-comments are skipped."""
+def _parse_config_file(path: str, options: dict) -> dict:
+    """Flat key=value file; blank lines and #-comments are skipped.
+
+    Each value is parsed and checked by the argparse action ``options[key]``.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             raw_lines = handle.readlines()
@@ -100,35 +91,32 @@ def _parse_config_file(path: str) -> dict:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in KNOWN_KEYS:
+        action = options.get(key)
+        if action is None:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        parse = _parse_bool if action.nargs == 0 else action.type or str
         try:
-            if key in FLOAT_KEYS:
-                values[key] = float(text)
-            elif key in INT_KEYS:
-                values[key] = int(text)
-            elif key in BOOL_KEYS:
-                values[key] = _parse_bool(text)
-            else:
-                values[key] = text
+            values[key] = parse(text)
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
-    if "format" in values and values["format"] not in {"csv", "svg"}:
-        raise ParameterError(f"format must be csv or svg, got {values['format']!r}")
-    if "kind" in values and values["kind"] not in {"evolve", "sweep", "mesh"}:
-        raise ParameterError(f"kind must be evolve, sweep or mesh, got {values['kind']!r}")
+    for key, action in options.items():
+        if action.choices is not None and key in values and values[key] not in action.choices:
+            *rest, last = action.choices
+            raise ParameterError(f"{key} must be {', '.join(rest)} or {last}, got {values[key]!r}")
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace, actions) -> dict:
     """Apply precedence CLI > config file > defaults and enforce mode exclusivity.
 
-    When the command line commits to one input mode, the other mode's
-    config-file keys are dropped rather than mixed; a conflict within a
+    Config-file keys are the dests of the shared option ``actions`` but
+    ``config``.  When the command line commits to one input mode, the other
+    mode's file keys are dropped rather than mixed; a conflict within a
     single source is an error.
     """
-    file_cfg = _parse_config_file(args.config) if args.config else {}
-    cli_cfg = {key: getattr(args, key) for key in KNOWN_KEYS if getattr(args, key, None) is not None}
+    options = {action.dest: action for action in actions if action.dest != "config"}
+    file_cfg = _parse_config_file(args.config, options) if args.config else {}
+    cli_cfg = {key: getattr(args, key) for key in options if getattr(args, key) is not None}
 
     cli_direct = bool(DIRECT_KEYS & cli_cfg.keys())
     cli_position = "x1" in cli_cfg
@@ -223,8 +211,11 @@ def _emit(cfg: dict, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _require_format(cfg: dict, wanted: str, command: str) -> None:
@@ -460,7 +451,8 @@ def cmd_selftest(cfg: dict) -> int:
     return 0 if failures == 0 else 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _shared_parser() -> argparse.ArgumentParser:
+    """Every shared option, declared once: flag, config-file key, value type and choices."""
     shared = argparse.ArgumentParser(add_help=False)
     model = shared.add_argument_group("model input (direct XOR position)")
     model.add_argument("--g1", type=float, help="atom-1 coupling, g0 units")
@@ -469,37 +461,44 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--x1", type=float, help="atom-1 position, waist units")
 
     state = shared.add_argument_group("initial state")
-    state.add_argument("--alpha-re", type=float, dest="alpha_re")
-    state.add_argument("--alpha-im", type=float, dest="alpha_im")
-    state.add_argument("--beta-re", type=float, dest="beta_re")
-    state.add_argument("--beta-im", type=float, dest="beta_im")
+    state.add_argument("--alpha-re", type=float)
+    state.add_argument("--alpha-im", type=float)
+    state.add_argument("--beta-re", type=float)
+    state.add_argument("--beta-im", type=float)
 
     grids = shared.add_argument_group("grids")
-    grids.add_argument("--t-max", type=float, dest="t_max", help="default: one period 2 pi/Omega")
-    grids.add_argument("--t-steps", type=int, dest="t_steps")
-    grids.add_argument("--x1-min", type=float, dest="x1_min")
-    grids.add_argument("--x1-max", type=float, dest="x1_max")
-    grids.add_argument("--x1-steps", type=int, dest="x1_steps")
-    grids.add_argument("--scan-rddi", dest="scan_rddi", metavar="LO:HI:N")
+    grids.add_argument("--t-max", type=float, help="default: one period 2 pi/Omega")
+    grids.add_argument("--t-steps", type=int)
+    grids.add_argument("--x1-min", type=float)
+    grids.add_argument("--x1-max", type=float)
+    grids.add_argument("--x1-steps", type=int)
+    grids.add_argument("--scan-rddi", metavar="LO:HI:N")
 
     geo = shared.add_argument_group("geometry overrides")
-    geo.add_argument("--g0-mhz", type=float, dest="g0_mhz")
-    geo.add_argument("--w0-um", type=float, dest="w0_um")
-    geo.add_argument("--lambda-um", type=float, dest="lambda_um")
+    geo.add_argument("--g0-mhz", type=float)
+    geo.add_argument("--w0-um", type=float)
+    geo.add_argument("--lambda-um", type=float)
     geo.add_argument("--x2", type=float)
-    geo.add_argument("--gamma-ref-hz", type=float, dest="gamma_ref_hz")
-    geo.add_argument("--r-ref", type=float, dest="r_ref")
-    geo.add_argument("--standing-wave", action="store_const", const=True, dest="standing_wave")
+    geo.add_argument("--gamma-ref-hz", type=float)
+    geo.add_argument("--r-ref", type=float)
+    geo.add_argument("--standing-wave", action="store_const", const=True)
+    geo.add_argument("--rddi-a", type=float, help="1/R exchange coefficient, Hz um (default: calibrated)")
+    geo.add_argument("--rddi-b", type=float, help="1/R^2 exchange coefficient, Hz um^2")
+    geo.add_argument("--rddi-c3", type=float, help="1/R^3 exchange coefficient, Hz um^3")
 
     output = shared.add_argument_group("output")
     output.add_argument("--config", help="flat key=value file, lower precedence than flags")
     output.add_argument("--out", help="output path, default standard output")
     output.add_argument("--format", choices=("csv", "svg"))
-    output.add_argument("--numeric-peaks", action="store_const", const=True, dest="numeric_peaks",
+    output.add_argument("--numeric-peaks", action="store_const", const=True,
                         help="sweep: add a full-g2 numeric peak column")
     output.add_argument("--kind", choices=("evolve", "sweep", "mesh"),
                         help="plot: which figure to draw")
+    return shared
 
+
+def build_parser(shared: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """The command parser; every subcommand takes the options of ``shared``."""
     parser = argparse.ArgumentParser(
         prog="cavitypair",
         description="Single-excitation cavity pair dynamics: spectra, concurrence, sweeps.",
@@ -514,21 +513,21 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest": cmd_selftest,
         "plot": cmd_plot,
     }
+    parents = [shared if shared is not None else _shared_parser()]
     for name, handler in handlers.items():
-        sub = commands.add_parser(name, parents=[shared])
-        sub.set_defaults(handler=handler)
+        commands.add_parser(name, parents=parents).set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    shared = _shared_parser()
+    args = build_parser(shared).parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        return args.handler(cfg)
+        return args.handler(_merge_config(args, shared._actions))
     except NumericalContractError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, ValueError) as exc:
+    except ValueError as exc:  # ParameterError included
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

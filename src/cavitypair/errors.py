@@ -45,11 +45,10 @@ class DegenerateModel(ParameterError):
 
 
 class ZeroCoupling(ParameterError):
-    """Atom-1 coupling is zero where a coupling ratio is required."""
+    """Atom-1 coupling is zero where a coupling ratio or denominator needs it."""
 
 
-class DivisionByZeroCoupling(ParameterError):
-    """Atom-1 coupling is zero where it appears in a denominator."""
+DivisionByZeroCoupling = ZeroCoupling  # former name, kept for imports
 
 
 class InvalidDensityMatrix(NumericalContractError):

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModel, DivisionByZeroCoupling, ParameterError
-from .qmath import SpectralDecomposition  # noqa: F401  (re-exported alongside builders)
+from .errors import DegenerateModel, ParameterError, ZeroCoupling
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,10 @@ def build_effective_h(params: ModelParams) -> np.ndarray:
      [0,  0, -chi]]
 
     Starting from (1, 0, 0) the atom-2 amplitude therefore stays zero for all
-    times and no entanglement is ever generated.  Raises
-    DivisionByZeroCoupling when g1 = 0.
+    times and no entanglement is ever generated.  Raises ZeroCoupling when
+    g1 = 0.
     """
     if params.g1 == 0.0:
-        raise DivisionByZeroCoupling("effective Hamiltonian requires g1 > 0")
+        raise ZeroCoupling("effective Hamiltonian requires g1 > 0")
     chi = 2.0 * math.sqrt(2.0) * params.rddi**2 / params.g1
     return np.array([[0.0, params.g1, 0.0], [params.g1, chi, 0.0], [0.0, 0.0, -chi]])

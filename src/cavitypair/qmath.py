@@ -95,7 +95,7 @@ def _require_normalized(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
     if dim is not None and psi.shape[0] != dim:
         raise DimensionMismatch(f"state has dimension {psi.shape[0]}, expected {dim}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise UnnormalizedState(f"|psi| = {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
     return psi
 

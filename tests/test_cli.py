@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavitypair import CavityGeometry, InitialState, concurrence_series, params_at, sweep_position
-from cavitypair.cli import main
+from cavitypair.cli import _merge_config, _shared_parser, build_parser, main
 
 OMEGA = 1.118033988749895
 C_PEAK_AT_MINUS_2 = 0.0354526304721042
@@ -298,6 +298,68 @@ class TestConfigHandling:
         text = target.read_text()
         assert text.startswith("kind,") and text.endswith("\n")
         assert "\r" not in text
+
+    @pytest.mark.parametrize("target", ["dir", "missing/x.csv"])
+    def test_unwritable_output_exits_2(self, tmp_path, target):
+        path = tmp_path if target == "dir" else tmp_path / target
+        code, out, err = run_cli("peaks", "--g1", "1", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: ParameterError: cannot write output file {str(path)!r}: ")
+
+
+SHARED_OPTIONS = [action for action in _shared_parser()._actions if action.dest != "config"]
+
+
+def sample_value(action):
+    """A value the action accepts in a file: a boolean, a choice, or a number or text of its type."""
+    if action.nargs == 0:
+        return "yes"
+    if action.choices is not None:
+        return action.choices[-1]
+    return {int: "3", float: "0.25", None: "text"}[action.type]
+
+
+class TestSingleSource:
+    """Config-file keys, their types and choices all come from the parser's actions."""
+
+    @pytest.mark.parametrize("action", SHARED_OPTIONS, ids=lambda action: action.dest)
+    def test_file_key_equals_flag(self, tmp_path, action):
+        flag, value = action.option_strings[0], sample_value(action)
+        argv = [flag] if action.nargs == 0 else [flag, value]
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{action.dest} = {value}\n")
+
+        def merged(*args):
+            shared = _shared_parser()
+            return _merge_config(build_parser(shared).parse_args(["peaks", *args]), shared._actions)
+
+        from_flag, from_file = merged(*argv), merged("--config", str(cfg))
+        assert from_flag == from_file and list(from_flag) == [action.dest]
+        assert type(from_file[action.dest]) is type(from_flag[action.dest])
+
+    def test_profile_flags_match_file_keys(self, tmp_path):
+        cfg = tmp_path / "profile.cfg"
+        cfg.write_text("rddi_a = 2.4e6\nrddi_b = 10\nrddi_c3 = 5\n")
+        code, from_file, _ = run_cli("peaks", "--config", str(cfg))
+        assert code == 0
+        code, from_flags, _ = run_cli("peaks", "--rddi-a", "2.4e6", "--rddi-b", "10", "--rddi-c3", "5")
+        assert code == 0
+        assert from_flags == from_file
+        assert from_flags != run_cli("peaks")[1]
+
+    @pytest.mark.parametrize("line, message", [
+        ("format = png", "format must be csv or svg, got 'png'"),
+        ("kind = bar", "kind must be evolve, sweep or mesh, got 'bar'"),
+        ("standing_wave = maybe", "{path}:1: bad value for standing_wave: 'maybe'"),
+        ("t_steps = 1.5", "{path}:1: bad value for t_steps: '1.5'"),
+    ])
+    def test_bad_value_message(self, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli("plot", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: ParameterError: " + message.format(path=cfg) + "\n"
 
 
 class TestUsageErrors:

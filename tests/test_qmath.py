@@ -17,6 +17,7 @@ from cavitypair import (
     evolve_spectral,
     hermitian_eigendecompose,
     hermiticity_defect,
+    reduced_density,
     rk4_schrodinger,
 )
 
@@ -152,6 +153,13 @@ class TestEvolveSpectral:
             evolve_spectral(decomp, np.array([1.0, 1.0, 0.0]), 1.0)
         with pytest.raises(DimensionMismatch):
             evolve_spectral(decomp, np.array([1.0, 0.0]), 1.0)
+
+    def test_nan_state_rejected(self):
+        psi = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(UnnormalizedState):
+            evolve_spectral(hermitian_eigendecompose(np.eye(3)), psi, 1.0)
+        with pytest.raises(UnnormalizedState):
+            reduced_density(psi)
 
 
 LOG_COUPLING = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
