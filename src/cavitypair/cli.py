@@ -20,13 +20,14 @@ import numpy as np
 
 from .dynamics import (
     InitialState,
+    _atom_weights,
+    _concurrence,
     concurrence_series,
     evolve,
     peak_report,
     peak_times,
     reduced_density,
     scan_peak_optimum,
-    state_concurrence,
 )
 from .entanglement import wootters_concurrence, xstate_concurrence
 from .errors import DegenerateModel, NumericalContractError, ParameterError
@@ -276,9 +277,11 @@ def cmd_evolve(cfg: dict) -> int:
     _require_format(cfg, "csv", "evolve")
     params = _model_params(cfg)
     grid = _time_grid(cfg, params.omega)
-    psi = evolve(params, _initial_state(cfg), grid)
+    psi0 = _initial_state(cfg).vector()
+    decomp = hermitian_eigendecompose(build_single_excitation_h(params))
+    psi = evolve_spectral(decomp, psi0, grid)
     norms = np.linalg.norm(psi, axis=1)
-    concurrence = state_concurrence(psi)
+    concurrence = _concurrence(_atom_weights(decomp, psi0), grid)
     header = ("t", "photon_re", "photon_im", "atom1_re", "atom1_im",
               "atom2_re", "atom2_im", "norm", "concurrence")
     rows = [
@@ -422,8 +425,7 @@ def _selftest_checks():
         grid = np.linspace(0.0, 100.0, 2001)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         decomp = hermitian_eigendecompose(build_effective_h(params))
-        psi = evolve_spectral(decomp, psi0, grid)
-        if np.max(state_concurrence(psi)) > 1e-12:
+        if np.max(_concurrence(_atom_weights(decomp, psi0), grid)) > 1e-12:
             return False
         full = concurrence_series(params, InitialState(), grid)
         return bool(full.values.max() > 0.01)

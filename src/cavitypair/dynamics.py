@@ -24,7 +24,14 @@ import numpy as np
 
 from .errors import DegenerateModel, ParameterError, UnnormalizedState, ZeroCoupling
 from .model import ModelParams, build_single_excitation_h
-from .qmath import NORM_TOL, _require_normalized, evolve_spectral, hermitian_eigendecompose
+from .qmath import (
+    NORM_TOL,
+    SpectralDecomposition,
+    _dagger,
+    _require_normalized,
+    evolve_spectral,
+    hermitian_eigendecompose,
+)
 
 # Height of |sin(x)|(1 - cos(x)) at its maxima x = (3m +/- 1) pi/3.
 _PEAK_SHAPE = 3.0 * math.sqrt(3.0) / 4.0
@@ -38,6 +45,8 @@ while _AMPLITUDE_MAX * _PEAK_SHAPE > 1.0:
 # Ratios per zoom round of the optimum search, and its relative stopping width.
 _SCAN_POINTS = 129
 _SQRT_EPS = 1.5e-8
+# Points per slice of the concurrence kernel.
+_KERNEL_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -103,13 +112,71 @@ def evolve(params: ModelParams, init: InitialState, t) -> np.ndarray:
     return evolve_spectral(decomp, init.vector(), t)
 
 
-def state_concurrence(psi: np.ndarray) -> np.ndarray:
-    """Concurrence 2|b conj(c)| of states psi = (a, b, c), shape (..., 3): Wootters on ``reduced_density``.
+def _atom_weights(decomp: SpectralDecomposition, psi0: np.ndarray):
+    """Atom-row weights of the concurrence kernel for one decomposition (or a stack) and psi0.
 
-    Clamped to 1: for a normalized psi, 2|b c| <= |b|^2 + |c|^2 <= 1 exactly,
-    so only rounding can carry it above (by a few ulp near Gamma = g1/sqrt(2)).
+    With w_rj = V_rj (V^dagger psi0)_j for r = 1, 2 (atom 1, atom 2), the
+    amplitudes are b, c = e^{-i E_0 t} sum_j w_rj e^{-i (E_j - E_0) t}.  The
+    common phase drops out of |b| and |c|, so only the gaps d_j = E_j - E_0
+    (j = 1, 2) are kept, and Re/Im of b and c are the real 4x4 matrix
+    ``mix`` times (cos d_1 t, cos d_2 t, sin d_1 t, sin d_2 t) plus the
+    j = 0 term ``offset``.  Returns (gaps, mix, offset) with shapes
+    (..., 2), (..., 4, 4) and (..., 4); indexing all three by rows of a
+    stack gives the weights of those members.
     """
-    return np.minimum(2.0 * np.abs(psi[..., 1] * np.conj(psi[..., 2])), 1.0)
+    psi0 = _require_normalized(psi0, decomp.dim)
+    vectors = decomp.eigenvectors
+    w = vectors[..., 1:3, :] * (_dagger(vectors) @ psi0)[..., None, :]
+    u, v = w.real, w.imag
+    mix = np.empty(w.shape[:-2] + (4, 4))
+    mix[..., 0::2, :2], mix[..., 0::2, 2:] = u[..., 1:], v[..., 1:]  # Re b, Re c
+    mix[..., 1::2, :2], mix[..., 1::2, 2:] = v[..., 1:], -u[..., 1:]  # Im b, Im c
+    offset = np.stack([u[..., 0, 0], v[..., 0, 0], u[..., 1, 0], v[..., 1, 0]], axis=-1)
+    gaps = decomp.eigenvalues[..., 1:] - decomp.eigenvalues[..., :1]
+    return gaps, mix, offset
+
+
+def _concurrence(weights, t) -> np.ndarray:
+    """Concurrence C = 2|b||c| of the two atoms at time(s) t, from ``_atom_weights``.
+
+    t is a scalar (scalar result), (nt,) shared by a stack, or (k, nt) per
+    member; the result has the shape ``evolve_spectral`` gives the states,
+    less the state axis.  psi is never formed: one real (4x4)(4xnt)
+    product per member, time axis innermost, gives Re/Im of b and c, and
+    |b|, |c| are hypot values, so amplitudes near 1e-170 do not underflow
+    through their squares.  Clamped to 1: for a normalized state
+    2|b||c| <= |b|^2 + |c|^2 <= 1 exactly, so only rounding can carry it above.
+    Members run in slices of about _KERNEL_POINTS points, so the
+    temporaries stay in cache and their heap memory is reused.
+    """
+    gaps, mix, offset = weights
+    stack = gaps.shape[:-1]
+    gaps, mix, offset = gaps.reshape(-1, 2, 1), mix.reshape(-1, 4, 4), offset.reshape(-1, 4, 1)
+    t_arr = np.asarray(t, dtype=float)
+    nt = t_arr.shape[-1] if t_arr.ndim else 1
+    times = t_arr.reshape(-1, 1, nt)  # one row shared by the stack, or one per member
+    out = np.empty((gaps.shape[0], nt))
+    step = max(1, _KERNEL_POINTS // max(nt, 1))
+    for s in range(0, out.shape[0], step):
+        rows = slice(s, s + step)
+        trig = np.empty((gaps[rows].shape[0], 4, nt))
+        angle = np.multiply(times[rows] if times.shape[0] > 1 else times, gaps[rows], out=trig[:, 2:])
+        np.cos(angle, out=trig[:, :2])
+        np.sin(angle, out=angle)
+        parts = mix[rows] @ trig
+        parts += offset[rows]
+        b = np.hypot(parts[:, 0], parts[:, 1], out=parts[:, 0])
+        c = np.hypot(parts[:, 2], parts[:, 3], out=parts[:, 2])
+        b *= 2.0
+        np.minimum(np.multiply(b, c, out=b), 1.0, out=out[rows])
+    out = out.reshape(stack + (nt,))
+    return out[..., 0] if t_arr.ndim == 0 else out
+
+
+def _model_concurrence(params: ModelParams, init: InitialState, t) -> np.ndarray:
+    """Propagated concurrence of a model (or a grid of them, stacked in front) at time(s) t."""
+    decomp = hermitian_eigendecompose(build_single_excitation_h(params))
+    return _concurrence(_atom_weights(decomp, init.vector()), t)
 
 
 def reduced_density(psi: np.ndarray) -> np.ndarray:
@@ -140,15 +207,17 @@ def concurrence_series(params: ModelParams, init: InitialState, t_grid) -> TimeS
     test suite and the CLI selftest).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    return TimeSeries(times=t_grid, values=state_concurrence(evolve(params, init, t_grid)))
+    return TimeSeries(times=t_grid, values=_model_concurrence(params, init, t_grid))
 
 
 def peak_amplitude(g1, rddi):
-    """Amplitude 2 g1^2 Gamma/Omega^3 of the concurrence; callers reject g1 = Gamma = 0.
+    """Amplitude 2 g1^2 |Gamma|/Omega^3 of the concurrence; callers reject g1 = Gamma = 0.
 
-    With s = min/max of (g1, Gamma) it is 2s/(1+s^2)^{3/2} when g1 >= Gamma and
+    Signed couplings enter through |g1| and |Gamma|.  With s = min/max of
+    (|g1|, |Gamma|) it is 2s/(1+s^2)^{3/2} when |g1| >= |Gamma| and
     2s^2/(1+s^2)^{3/2} otherwise, so no scale overflows or underflows.
     """
+    g1, rddi = np.abs(g1), np.abs(rddi)
     m = np.maximum(g1, rddi)
     a, b = g1 / m, rddi / m
     omega = np.hypot(a, b)
@@ -157,13 +226,13 @@ def peak_amplitude(g1, rddi):
 
 
 def closed_form_concurrence(g1: float, rddi: float, t):
-    """Concurrence (2 g1^2 Gamma/Omega^3) |sin(Omega t)| (1 - cos(Omega t)).
+    """Concurrence (2 g1^2 |Gamma|/Omega^3) |sin(Omega t)| (1 - cos(Omega t)).
 
     Closed form for the photon-fed initial state (alpha = 1, beta = 0) with
     g2 = 0.  Accepts scalar or array t.  Raises DegenerateModel when
     g1 = rddi = 0.
     """
-    omega = ModelParams(g1=g1, rddi=rddi).omega  # checks the couplings: finite, non-negative
+    omega = ModelParams(g1=g1, rddi=rddi).omega  # checks the couplings: finite
     if omega == 0.0:
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
     phase = omega * np.asarray(t, dtype=float)
@@ -204,7 +273,7 @@ def peak_report(params: ModelParams) -> PeakReport:
 
 
 def peak_height(g1, rddi):
-    """Peak concurrence (2 g1^2 Gamma/Omega^3)(3 sqrt(3)/4) as a function of Gamma, at most 1.
+    """Peak concurrence (2 g1^2 |Gamma|/Omega^3)(3 sqrt(3)/4) as a function of Gamma, at most 1.
 
     Scalars give a float, arrays (broadcast together) an array.
     """

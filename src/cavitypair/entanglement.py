@@ -20,8 +20,8 @@ those the concurrence reduces exactly to twice the coherence magnitude, which
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, PatternMismatch
-from .qmath import hermitian_eigendecompose, hermiticity_defect
+from .errors import InvalidDensityMatrix, NonHermitianInput, PatternMismatch
+from .qmath import HERMITICITY_RTOL, _dagger, _eigendecompose, _entry_max, _require_within
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -41,17 +41,18 @@ SPIN_FLIP = np.array(
 )
 
 
-def _as_density_matrix(rho: np.ndarray) -> np.ndarray:
+def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace, and its Hermiticity defect."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
+    defect = _entry_max(rho - _dagger(rho))
     if defect > HERMITICITY_TOL:
         raise InvalidDensityMatrix(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
     trace = float(np.real(np.trace(rho)))
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidDensityMatrix(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL:.0e}")
-    return rho
+    return rho, defect
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -67,9 +68,15 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     InvalidDensityMatrix
         On Hermiticity/trace/positivity violations beyond tolerance, or if
         the computed value exceeds 1 by more than the 1e-10 clamp slack.
+    NonHermitianInput
+        If the Hermiticity defect, within the absolute 1e-12, still exceeds
+        1e-12 * max|rho_ij| (the eigensolver's relative bound).
     """
-    rho = _as_density_matrix(rho)
-    decomp = hermitian_eigendecompose(rho)
+    rho, defect = _as_density_matrix(rho)
+    # The eigensolver's own relative Hermiticity bound, on the defect computed above.
+    scale = _entry_max(rho)
+    _require_within(defect, HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
+    decomp = _eigendecompose(rho, scale)
     eigenvalues = decomp.eigenvalues
     if float(eigenvalues[0]) < -PSD_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues[0]!r} beyond -{PSD_TOL:.0e}")
@@ -100,7 +107,7 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     otherwise.  Agrees with ``wootters_concurrence`` to 1e-10 on every state
     produced by the reduced-density pipeline.
     """
-    rho = _as_density_matrix(rho)
+    rho, _ = _as_density_matrix(rho)
     off_pattern = rho.copy()
     np.fill_diagonal(off_pattern, 0.0)
     off_pattern[1, 2] = 0.0

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAtoms, DegenerateModel, NonpositiveSeparation, ParameterError
-from .dynamics import InitialState, evolve, peak_report, state_concurrence
+from .dynamics import InitialState, _atom_weights, _concurrence, _model_concurrence, peak_report
 from .model import ModelParams, build_single_excitation_h
-from .qmath import SpectralDecomposition, evolve_spectral, hermitian_eigendecompose
+from .qmath import hermitian_eigendecompose
 
 HZ_PER_MHZ = 1e6
 # Numeric peak search: coarse-grid intervals per period at least, largest W h
@@ -185,13 +185,12 @@ class SweepResult:
     c_peak_numeric: np.ndarray | None = None
 
 
-def _concurrence_at(decomp: SpectralDecomposition, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Photon-fed concurrence of model rows[i] (rows of decomp) at times t[i], shape t.shape."""
-    stack = SpectralDecomposition(decomp.eigenvalues[rows], decomp.eigenvectors[rows])
-    return state_concurrence(evolve_spectral(stack, InitialState().vector(), t))
+def _rows(weights, rows: np.ndarray):
+    """Kernel weights of the stack members ``rows``."""
+    return tuple(w[rows] for w in weights)
 
 
-def _zoom(decomp, rows, lo, hi, best, curvature, width) -> None:
+def _zoom(weights, rows, lo, hi, best, curvature, width) -> None:
     """Raise best[rows] to the maximum of C inside each bracket [lo, hi] of model rows.
 
     Each round samples _ZOOM_POINTS times per bracket (_ZOOM_POINTS_LATER
@@ -204,7 +203,7 @@ def _zoom(decomp, rows, lo, hi, best, curvature, width) -> None:
     while rows.size:
         last = fraction.size - 1
         t = lo[:, None] + (hi - lo)[:, None] * fraction
-        values = _concurrence_at(decomp, rows, t)
+        values = _concurrence(_rows(weights, rows), t)
         k = np.argmax(values, axis=1)
         index = np.arange(rows.size)
         top = values[index, k]
@@ -242,6 +241,7 @@ def numeric_peak_concurrence(params: ModelParams):
     shape = hamiltonians.shape[:-2]
     decomp = hermitian_eigendecompose(hamiltonians.reshape(-1, 3, 3))
     energies, vectors = decomp.eigenvalues, decomp.eigenvectors
+    weights = _atom_weights(decomp, InitialState().vector())
     period = np.broadcast_to(2.0 * math.pi / omega, shape).ravel()
     width = energies[:, -1] - energies[:, 0]
     weight = np.abs(vectors * vectors[:, :1, :])
@@ -267,7 +267,7 @@ def numeric_peak_concurrence(params: ModelParams):
         sub = owner[s:s + step]
         j = offset[s:s + step, None] + np.arange(block)
         t = np.minimum(j, n[sub, None]) * h[sub, None]
-        values = _concurrence_at(decomp, sub, t)
+        values = _concurrence(_rows(weights, sub), t)
         np.maximum.at(best, sub, values.max(axis=1))
         i, k = np.nonzero(j <= n[sub, None])
         rows, centre, level = (np.concatenate([old, new]) for old, new in
@@ -279,7 +279,7 @@ def numeric_peak_concurrence(params: ModelParams):
     hi = np.minimum(centre + 0.5 * h[rows], period[rows])
     step = _SLICE_POINTS // _ZOOM_POINTS_LATER
     for s in range(0, rows.size, step):
-        _zoom(decomp, rows[s:s + step], lo[s:s + step], hi[s:s + step], best, curvature, width)
+        _zoom(weights, rows[s:s + step], lo[s:s + step], hi[s:s + step], best, curvature, width)
     best = best.reshape(shape)
     return float(best) if best.ndim == 0 else best
 
@@ -328,4 +328,4 @@ def mesh(geo: CavityGeometry, x1_grid, t_grid) -> np.ndarray:
         raise ParameterError("mesh grids must be non-empty 1-d arrays")
     if not (np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0.0)):
         raise ParameterError("mesh times must be finite and strictly ascending")
-    return state_concurrence(evolve(params_at(geo, x1_grid), InitialState(), t_grid))
+    return _model_concurrence(params_at(geo, x1_grid), InitialState(), t_grid)

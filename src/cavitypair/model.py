@@ -26,7 +26,11 @@ from .errors import DegenerateModel, ParameterError, ZeroCoupling
 class ModelParams:
     """Coupling frequencies defining the single-excitation Hamiltonian (g0 units).
 
-    Arrays that broadcast together make a grid of models (``omega`` needs floats).
+    Any finite signed value is accepted.  Sign changes of basis states and
+    time reversal take any sign pattern of (g1, g2, Gamma) to any other
+    without changing the concurrence of the photon-fed state, and the peak
+    analytics use |g1| and |Gamma|.  Arrays that broadcast together make a
+    grid of models (``omega`` needs floats).
     """
 
     g1: float
@@ -38,12 +42,10 @@ class ModelParams:
         if np.broadcast(*fields).ndim:  # a grid; a single model skips the broadcast copies
             fields = np.broadcast_arrays(*fields)
         values = np.array(fields, dtype=float)
-        ok = (values >= 0.0) & (values < math.inf)
+        ok = np.isfinite(values)
         if not ok.all():
             index = tuple(np.argwhere(~ok)[0])
-            bad = float(values[index])
-            reason = "must be non-negative" if math.isfinite(bad) else "is not finite"
-            raise ParameterError(f"{('g1', 'g2', 'rddi')[index[0]]} = {bad!r} {reason}")
+            raise ParameterError(f"{('g1', 'g2', 'rddi')[index[0]]} = {float(values[index])!r} is not finite")
 
     @property
     def omega(self) -> float:
@@ -109,7 +111,7 @@ def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
     root2 = math.sqrt(2.0)
     bright_plus = np.array([g1, omega, gamma]) / (root2 * omega)
     bright_minus = np.array([g1, -omega, gamma]) / (root2 * omega)
-    ratio_gamma = g1 / gamma if gamma > 0.0 else math.inf
+    ratio_gamma = g1 / gamma if gamma != 0.0 else math.inf
     for vec in (dark, bright_plus, bright_minus):
         vec.setflags(write=False)
     return AnalyticSpectrum(

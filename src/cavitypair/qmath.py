@@ -125,7 +125,11 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     NoConvergence
         If the backend fails or the residual/orthonormality bound is violated.
     """
-    m, scale = _require_hermitian(m)
+    return _eigendecompose(*_require_hermitian(m))
+
+
+def _eigendecompose(m: np.ndarray, scale: np.ndarray) -> SpectralDecomposition:
+    """``hermitian_eigendecompose`` of a matrix already checked Hermitian, with its max|m_ij| ``scale``."""
     n = m.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")

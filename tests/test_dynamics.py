@@ -15,9 +15,12 @@ from cavitypair import (
     UnnormalizedState,
     analytic_spectrum,
     ZeroCoupling,
+    build_single_excitation_h,
     closed_form_concurrence,
     concurrence_series,
     evolve,
+    evolve_spectral,
+    hermitian_eigendecompose,
     peak_height,
     peak_optimum,
     peak_report,
@@ -335,12 +338,12 @@ class TestPeakOptimum:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: ModelParams(g1=-1.0),
+        lambda: ModelParams(g1=float("nan")),
         lambda: InitialState(alpha=float("nan")),
         lambda: TimeSeries(times=np.array([1.0, 0.0]), values=np.zeros(2)),
         lambda: analytic_spectrum(ModelParams(g1=1.0, g2=0.1)),
         lambda: peak_report(ModelParams(g1=1.0, g2=0.1, rddi=0.5)),
-        lambda: closed_form_concurrence(-1.0, 0.5, 1.0),
+        lambda: closed_form_concurrence(float("nan"), 0.5, 1.0),
     ],
     ids=["ModelParams", "InitialState", "TimeSeries", "analytic_spectrum", "peak_report", "closed_form"],
 )
@@ -358,3 +361,88 @@ def test_peak_analytics_scale_free(scale):
     rddi_opt, c_max = scan_peak_optimum(scale)
     assert abs(rddi_opt / scale - 1.0 / math.sqrt(2.0)) <= 1e-6
     assert abs(c_max - 1.0) <= 1e-6
+
+
+SIGN = st.sampled_from((-1.0, 1.0))
+SIGNED_LOG_COUPLING = st.tuples(st.floats(min_value=-300.0, max_value=300.0), SIGN).map(
+    lambda p: p[1] * 10.0 ** p[0])
+
+
+def initial_state(mix: float, phase: float) -> InitialState:
+    beta = math.sqrt(mix) * complex(math.cos(phase), math.sin(phase))
+    return InitialState(alpha=math.sqrt(1.0 - mix), beta=beta)
+
+
+def state_route_concurrence(params: ModelParams, init: InitialState, t):
+    psi = evolve_spectral(hermitian_eigendecompose(build_single_excitation_h(params)), init.vector(), t)
+    return np.minimum(2.0 * np.abs(psi[..., 1] * np.conj(psi[..., 2])), 1.0)
+
+
+class TestConcurrenceKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        couplings=st.lists(st.tuples(SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING),
+                           min_size=1, max_size=5),
+        taus=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=6),
+        per_member=st.booleans(),
+        mix=st.floats(min_value=0.0, max_value=1.0),
+        phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_equals_state_route(self, couplings, taus, per_member, mix, phase):
+        g = np.array(couplings)
+        params = ModelParams(g1=g[:, 0], g2=g[:, 1], rddi=g[:, 2])
+        # Times in units of the largest coupling (of each member, or of the stack), so |E t| <= ~150.
+        scale = np.abs(g).max(axis=1)
+        t = np.array(taus) / (scale[:, None] if per_member else scale.max())
+        init = initial_state(mix, phase)
+        got = dynamics._model_concurrence(params, init, t)
+        assert got.shape == (g.shape[0], len(taus))
+        assert np.max(np.abs(got - state_route_concurrence(params, init, t))) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=st.tuples(SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING),
+        signs=st.tuples(SIGN, SIGN, SIGN),
+        reverse=st.booleans(),
+        mix=st.floats(min_value=0.0, max_value=1.0),
+        phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        taus=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=6),
+    )
+    def test_in_unit_interval_and_sign_free(self, g, signs, reverse, mix, phase, taus):
+        g1, g2, rddi = g
+        t = np.array(taus) / max(map(abs, g))
+        params = ModelParams(g1=g1, g2=g2, rddi=rddi)
+        values = dynamics._model_concurrence(params, initial_state(mix, phase), t)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        # Sign changes of the basis states d (psi0 -> d psi0), optionally with time
+        # reversal (H -> -H, psi0 -> conj psi0), leave every concurrence unchanged.
+        d0, d1, d2 = signs
+        r = -1.0 if reverse else 1.0
+        flipped = ModelParams(g1=r * d0 * d1 * g1, g2=r * d0 * d2 * g2, rddi=r * d1 * d2 * rddi)
+        init = InitialState(alpha=d0 * math.sqrt(1.0 - mix),
+                            beta=d1 * math.sqrt(mix) * complex(math.cos(phase), r * math.sin(phase)))
+        assert np.max(np.abs(dynamics._model_concurrence(flipped, init, t) - values)) <= 1e-13
+        # The photon-fed state is fixed by all of them, so any sign of any coupling gives its C.
+        photon_fed = dynamics._model_concurrence(params, InitialState(), t)
+        any_signs = ModelParams(g1=signs[0] * g1, g2=signs[1] * g2, rddi=signs[2] * rddi)
+        assert np.max(np.abs(dynamics._model_concurrence(any_signs, InitialState(), t) - photon_fed)) <= 1e-13
+
+    def test_scalar_time_gives_scalar(self):
+        value = dynamics._model_concurrence(P_REF, InitialState(), T_PEAK)
+        assert np.ndim(value) == 0
+        assert value == dynamics._model_concurrence(P_REF, InitialState(), np.array([0.0, T_PEAK]))[1]
+        assert abs(value - C_PEAK) <= 1e-15
+        stack = ModelParams(g1=np.array([1.0, 2.0]), rddi=np.array([0.5, 1.0]))
+        assert dynamics._model_concurrence(stack, InitialState(), T_PEAK).shape == (2,)
+
+    def test_slices_match_single_members(self):
+        # 40 x 400 points run in several slices; each row equals its own call bit for bit.
+        g1 = np.linspace(-1.0, 1.0, 40) + 0.0125
+        stack = ModelParams(g1=g1, g2=1e-3, rddi=0.4)
+        t = np.linspace(0.0, 30.0, 400)
+        init = InitialState(alpha=0.6, beta=0.8j)
+        values = dynamics._model_concurrence(stack, init, t)
+        assert values.size > dynamics._KERNEL_POINTS
+        for i in (0, 19, 20, 39):
+            single = dynamics._model_concurrence(ModelParams(g1=g1[i], g2=1e-3, rddi=0.4), init, t)
+            np.testing.assert_array_equal(values[i], single)

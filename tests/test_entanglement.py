@@ -5,6 +5,7 @@ from cavitypair import (
     InitialState,
     InvalidDensityMatrix,
     ModelParams,
+    NonHermitianInput,
     PatternMismatch,
     evolve,
     reduced_density,
@@ -76,6 +77,15 @@ class TestWootters:
         rho[0, 1] = 0.3
         with pytest.raises(InvalidDensityMatrix):
             wootters_concurrence(rho)
+
+    def test_defect_between_the_two_bounds_raises_non_hermitian(self):
+        # max|rho_ij| = 1/4: a defect of 6e-13 passes the absolute 1e-12 bound
+        # but not the relative 1e-12 * 1/4, and the trace is exactly 1.
+        rho = np.eye(4, dtype=complex) / 4.0
+        rho[1, 2] = 6e-13
+        with pytest.raises(NonHermitianInput) as info:
+            wootters_concurrence(rho)
+        assert str(info.value) == "Hermiticity defect 6.000e-13 exceeds 2.500e-13 (matrix 0)"
 
     def test_rejects_bad_trace(self):
         with pytest.raises(InvalidDensityMatrix):

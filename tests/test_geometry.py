@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavitypair import geometry
 from cavitypair import (
     CavityGeometry,
     CoincidentAtoms,
@@ -261,6 +262,22 @@ class TestNumericPeak:
             assert grid.shape == x1.shape
             np.testing.assert_array_equal(grid, [numeric_peak_concurrence(params_at(geo, x)) for x in x1])
 
+    def test_one_decomposition_and_one_weight_build_per_call(self, monkeypatch):
+        calls = {"decompose": 0, "weights": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(geometry, "hermitian_eigendecompose",
+                            counted("decompose", geometry.hermitian_eigendecompose))
+        monkeypatch.setattr(geometry, "_atom_weights", counted("weights", geometry._atom_weights))
+        # NEAR_WAIST runs the kernel many times: coarse slices, then zoom rounds.
+        numeric_peak_concurrence(params_at(NEAR_WAIST, np.linspace(-3.0, 3.0, 9)))
+        assert calls == {"decompose": 1, "weights": 1}
+
     def test_degenerate(self):
         with pytest.raises(DegenerateModel):
             numeric_peak_concurrence(ModelParams(g1=0.0))
@@ -305,11 +322,30 @@ ANTI_PHASE_X1 = STANDING_WAVE.lambda_um / (2.0 * STANDING_WAVE.w0_um)
 
 
 class TestGridValidation:
+    def test_standing_wave_grid_across_a_node(self):
+        # From the antinode through the node at ANTI_PHASE_X1/2 (no grid point on it):
+        # g1 changes sign, and the parked atom's g2 is negative throughout.
+        grid = np.linspace(0.0, ANTI_PHASE_X1, 8)
+        sweep = sweep_position(STANDING_WAVE, grid, numeric_peaks=True)
+        assert sweep.g1[0] > 0.0 > sweep.g1[-1]
+        params = params_at(STANDING_WAVE, grid)
+        assert params.g2 < 0.0
+        np.testing.assert_array_equal(
+            sweep.c_peak, peak_report(ModelParams(g1=np.abs(sweep.g1), rddi=sweep.rddi)).c_peak)
+        t_grid = np.linspace(0.0, 10.0, 64)
+        values = mesh(STANDING_WAVE, grid, t_grid)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        # g -> -g (both cavity couplings) is the sign change of the photon state.
+        flipped = ModelParams(g1=-params.g1, g2=-params.g2, rddi=params.rddi)
+        for i in range(grid.size):
+            row = ModelParams(g1=flipped.g1[i], g2=flipped.g2, rddi=flipped.rddi[i])
+            series = concurrence_series(row, InitialState(), t_grid)
+            np.testing.assert_allclose(series.values, values[i], rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(numeric_peak_concurrence(flipped), sweep.c_peak_numeric,
+                                   rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize(
-        "geo, x1",
-        [(STANDING_WAVE, ANTI_PHASE_X1), (CavityGeometry(rddi_a=1e308), GEO.x2 + 1e-3)],
-        ids=["negative-g1", "infinite-rddi"],
-    )
+        "geo, x1", [(CavityGeometry(rddi_a=1e308), GEO.x2 + 1e-3)], ids=["infinite-rddi"])
     def test_invalid_coupling_raises_model_params_error(self, geo, x1):
         with np.errstate(over="ignore"):
             g1, g2, rddi = coupling_at(geo, x1), coupling_at(geo, geo.x2), rddi_at(geo, abs(x1 - geo.x2))

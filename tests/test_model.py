@@ -7,6 +7,7 @@ from cavitypair import (
     DegenerateModel,
     DivisionByZeroCoupling,
     ModelParams,
+    ParameterError,
     analytic_spectrum,
     build_effective_h,
     build_single_excitation_h,
@@ -27,10 +28,21 @@ class TestModelParams:
         assert ModelParams(g1=1.0, rddi=0.5).omega == pytest.approx(1.118033988749895, abs=1e-15)
 
     def test_rejects_bad_values(self):
-        for bad in ({"g1": -0.1}, {"g1": 1.0, "g2": -1.0}, {"g1": float("nan")},
-                    {"g1": 1.0, "rddi": float("inf")}):
-            with pytest.raises(ValueError):
+        for bad, message in (({"g1": float("nan")}, "g1 = nan is not finite"),
+                             ({"g1": 1.0, "rddi": float("inf")}, "rddi = inf is not finite"),
+                             ({"g1": 1.0, "g2": -float("inf")}, "g2 = -inf is not finite"),
+                             ({"g1": np.array([1.0, -2.0]), "rddi": np.array([0.5, np.nan])},
+                              "rddi = nan is not finite")):
+            with pytest.raises(ParameterError) as info:
                 ModelParams(**bad)
+            assert str(info.value) == message
+
+    def test_accepts_signed_values(self):
+        p = ModelParams(g1=-0.1, g2=-1.0, rddi=-0.5)
+        assert (p.g1, p.g2, p.rddi) == (-0.1, -1.0, -0.5)
+        assert p.omega == ModelParams(g1=0.1, rddi=0.5).omega
+        grid = ModelParams(g1=np.array([-1.0, 1.0]), g2=-1e-11, rddi=np.array([0.5, -0.5]))
+        np.testing.assert_array_equal(grid.g1, [-1.0, 1.0])
 
 
 class TestBuildH:
