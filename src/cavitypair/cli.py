@@ -22,6 +22,7 @@ from .dynamics import (
     InitialState,
     _atom_weights,
     _concurrence,
+    _model_decomposition,
     concurrence_series,
     evolve,
     peak_report,
@@ -253,6 +254,7 @@ def cmd_spectrum(cfg: dict) -> int:
     ]
     rows = []
     for i, (value, vec) in enumerate(analytic_pairs):
+        vec = _gauge_fix(vec)
         num_value = decomp.eigenvalues[i]
         num_vec = _gauge_fix(decomp.eigenvectors[:, i].copy())
         res_analytic = float(np.linalg.norm(h_full @ vec - value * vec))
@@ -278,7 +280,7 @@ def cmd_evolve(cfg: dict) -> int:
     params = _model_params(cfg)
     grid = _time_grid(cfg, params.omega)
     psi0 = _initial_state(cfg).vector()
-    decomp = hermitian_eigendecompose(build_single_excitation_h(params))
+    decomp = _model_decomposition(params)
     psi = evolve_spectral(decomp, psi0, grid)
     norms = np.linalg.norm(psi, axis=1)
     concurrence = _concurrence(_atom_weights(decomp, psi0), grid)

@@ -22,15 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModel, ParameterError, UnnormalizedState, ZeroCoupling
+from .errors import DegenerateModel, ParameterError, ZeroCoupling
 from .model import ModelParams, build_single_excitation_h
 from .qmath import (
-    NORM_TOL,
     SpectralDecomposition,
     _dagger,
+    _eigendecompose,
+    _entry_max,
+    _require_finite_phase,
     _require_normalized,
     evolve_spectral,
-    hermitian_eigendecompose,
 )
 
 # Height of |sin(x)|(1 - cos(x)) at its maxima x = (3m +/- 1) pi/3.
@@ -60,9 +61,7 @@ class InitialState:
         for name in ("alpha", "beta"):
             if not cmath.isfinite(complex(getattr(self, name))):
                 raise ParameterError(f"{name} is not finite")
-        norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise UnnormalizedState(f"|alpha|^2 + |beta|^2 = {norm_sq!r} deviates from 1")
+        _require_normalized(self.vector())
 
     def vector(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, 0.0], dtype=complex)
@@ -102,14 +101,25 @@ class PeakReport:
     ratio: float
 
 
+def _model_decomposition(params: ModelParams) -> SpectralDecomposition:
+    """Checked eigendecomposition of the model Hamiltonian (a stack for a grid of models).
+
+    ``build_single_excitation_h`` writes each coupling into both triangles and
+    ``ModelParams`` admits finite couplings only, so H is exactly symmetric
+    and finite: the Hermiticity test is skipped, the residual and
+    orthonormality bounds are checked as always.
+    """
+    h = build_single_excitation_h(params)
+    return _eigendecompose(h, _entry_max(h))
+
+
 def evolve(params: ModelParams, init: InitialState, t) -> np.ndarray:
     """State at time(s) t under the full single-excitation Hamiltonian.
 
     Scalar t returns shape (3,), an array of times returns (nt, 3); a grid of
     models is propagated as one stack and puts its axis in front.
     """
-    decomp = hermitian_eigendecompose(build_single_excitation_h(params))
-    return evolve_spectral(decomp, init.vector(), t)
+    return evolve_spectral(_model_decomposition(params), init.vector(), t)
 
 
 def _atom_weights(decomp: SpectralDecomposition, psi0: np.ndarray):
@@ -147,12 +157,15 @@ def _concurrence(weights, t) -> np.ndarray:
     through their squares.  Clamped to 1: for a normalized state
     2|b||c| <= |b|^2 + |c|^2 <= 1 exactly, so only rounding can carry it above.
     Members run in slices of about _KERNEL_POINTS points, so the
-    temporaries stay in cache and their heap memory is reused.
+    temporaries stay in cache and their heap memory is reused.  Raises
+    ParameterError if a phase gap * t is not finite (checked once, from
+    max gap * max|t|).
     """
     gaps, mix, offset = weights
+    t_arr = np.asarray(t, dtype=float)
+    _require_finite_phase(gaps, t_arr)
     stack = gaps.shape[:-1]
     gaps, mix, offset = gaps.reshape(-1, 2, 1), mix.reshape(-1, 4, 4), offset.reshape(-1, 4, 1)
-    t_arr = np.asarray(t, dtype=float)
     nt = t_arr.shape[-1] if t_arr.ndim else 1
     times = t_arr.reshape(-1, 1, nt)  # one row shared by the stack, or one per member
     out = np.empty((gaps.shape[0], nt))
@@ -175,8 +188,7 @@ def _concurrence(weights, t) -> np.ndarray:
 
 def _model_concurrence(params: ModelParams, init: InitialState, t) -> np.ndarray:
     """Propagated concurrence of a model (or a grid of them, stacked in front) at time(s) t."""
-    decomp = hermitian_eigendecompose(build_single_excitation_h(params))
-    return _concurrence(_atom_weights(decomp, init.vector()), t)
+    return _concurrence(_atom_weights(_model_decomposition(params), init.vector()), t)
 
 
 def reduced_density(psi: np.ndarray) -> np.ndarray:
@@ -188,13 +200,13 @@ def reduced_density(psi: np.ndarray) -> np.ndarray:
     two excited populations exactly, since the traced state is pure in each
     photon sector.
     """
-    a, b, c = _require_normalized(psi, 3)
+    a, b, c = _require_normalized(psi, 3).tolist()
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = abs(b) ** 2
     rho[2, 2] = abs(c) ** 2
     rho[3, 3] = abs(a) ** 2
-    rho[1, 2] = b * np.conj(c)
-    rho[2, 1] = np.conj(rho[1, 2])
+    rho[1, 2] = coherence = b * c.conjugate()
+    rho[2, 1] = coherence.conjugate()
     return rho
 
 
@@ -210,6 +222,16 @@ def concurrence_series(params: ModelParams, init: InitialState, t_grid) -> TimeS
     return TimeSeries(times=t_grid, values=_model_concurrence(params, init, t_grid))
 
 
+def _values(x):
+    """A float stays a float (one model: scalar arithmetic), anything else becomes a float array."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
+def _any(condition) -> bool:
+    """Whether a condition on ``_values`` holds anywhere; a Python bool is its own answer."""
+    return condition if isinstance(condition, bool) else bool(condition.any())
+
+
 def peak_amplitude(g1, rddi):
     """Amplitude 2 g1^2 |Gamma|/Omega^3 of the concurrence; callers reject g1 = Gamma = 0.
 
@@ -217,7 +239,7 @@ def peak_amplitude(g1, rddi):
     (|g1|, |Gamma|) it is 2s/(1+s^2)^{3/2} when |g1| >= |Gamma| and
     2s^2/(1+s^2)^{3/2} otherwise, so no scale overflows or underflows.
     """
-    g1, rddi = np.abs(g1), np.abs(rddi)
+    g1, rddi = abs(_values(g1)), abs(_values(rddi))
     m = np.maximum(g1, rddi)
     a, b = g1 / m, rddi / m
     omega = np.hypot(a, b)
@@ -259,13 +281,13 @@ def peak_report(params: ModelParams) -> PeakReport:
     when Omega = 0 and ZeroCoupling when g1 = 0 (the ratio Gamma/g1 would be
     undefined; no sentinel is substituted).
     """
-    if np.any(params.g2 != 0.0):
+    g1, g2, rddi = _values(params.g1), _values(params.g2), _values(params.rddi)
+    if _any(g2 != 0.0):
         raise ParameterError("peak analytics are defined for g2 = 0 only")
-    g1, rddi = np.asarray(params.g1, dtype=float), np.asarray(params.rddi, dtype=float)
     omega = np.hypot(g1, rddi)
-    if (omega == 0.0).any():
+    if _any(omega == 0.0):
         raise DegenerateModel("g1 = rddi = 0: period undefined")
-    if (g1 == 0.0).any():
+    if _any(g1 == 0.0):
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
     fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE,
               2.0 * math.pi / omega, rddi / g1)
@@ -277,7 +299,8 @@ def peak_height(g1, rddi):
 
     Scalars give a float, arrays (broadcast together) an array.
     """
-    if np.any((g1 == 0.0) & (rddi == 0.0)):
+    g1, rddi = _values(g1), _values(rddi)
+    if _any((g1 == 0.0) & (rddi == 0.0)):
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
     return peak_amplitude(g1, rddi) * _PEAK_SHAPE
 

@@ -18,6 +18,8 @@ those the concurrence reduces exactly to twice the coherence magnitude, which
 ``xstate_concurrence`` exploits after checking the sparsity pattern.
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvalidDensityMatrix, NonHermitianInput, PatternMismatch
@@ -30,6 +32,9 @@ PATTERN_TOL = 1e-12
 CLAMP_SLACK = 1e-10
 RANK_TOL = 1e-13
 
+# Entries that must vanish for the fast path: all but the diagonal and the (|eg>, |ge>) coherence.
+_OFF_PATTERN = tuple((i, j) for i in range(4) for j in range(4) if i != j and {i, j} != {1, 2})
+
 # (sigma_y x sigma_y) on the ordered basis (|ee>, |eg>, |ge>, |gg>).
 SPIN_FLIP = np.array(
     [
@@ -41,15 +46,18 @@ SPIN_FLIP = np.array(
 )
 
 
-def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace, and its Hermiticity defect."""
+def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """A finite 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace, and its Hermiticity defect.
+
+    Any NaN or infinite entry makes the defect NaN or infinite, which fails the Hermiticity bound.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
     defect = _entry_max(rho - _dagger(rho))
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:
         raise InvalidDensityMatrix(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    trace = float(np.real(np.trace(rho)))
+    trace = float(rho.trace().real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidDensityMatrix(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL:.0e}")
     return rho, defect
@@ -78,21 +86,23 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     _require_within(defect, HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
     decomp = _eigendecompose(rho, scale)
     eigenvalues = decomp.eigenvalues
-    if float(eigenvalues[0]) < -PSD_TOL:
+    if eigenvalues[0] < -PSD_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues[0]!r} beyond -{PSD_TOL:.0e}")
 
     # Positivity slack must not leak into the square root, and eps-size
     # eigenvalues of rank-deficient states must be flattened to exact zeros:
     # their square roots (~1e-8) would otherwise dominate the small lambdas.
     clean = np.where(eigenvalues > RANK_TOL * eigenvalues[-1], eigenvalues, 0.0)
-    sqrt_rho = (decomp.eigenvectors * np.sqrt(clean)) @ decomp.eigenvectors.conj().T
+    root = np.sqrt(clean)
 
-    # lambda_i = singular values of K, since K K^dag = sqrt(rho) rho_tilde sqrt(rho).
-    k = sqrt_rho @ SPIN_FLIP @ sqrt_rho.conj()
-    lam = np.linalg.svd(k, compute_uv=False)
+    # lambda_i = singular values of K, since K K^dag = sqrt(rho) rho_tilde sqrt(rho).  With
+    # sqrt(rho) = V S V^dag, K = V (S V^dag SF V* S) V^T, and V, V^T are unitary: the singular
+    # values of the middle factor are those of K.
+    conj = decomp.eigenvectors.conj()
+    k = conj.T.dot(SPIN_FLIP).dot(conj) * np.multiply.outer(root, root)
+    lam = np.linalg.svd(k, compute_uv=False).tolist()
 
-    value = float(lam[0] - lam[1] - lam[2] - lam[3])
-    value = max(0.0, value)
+    value = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
     if value > 1.0 + CLAMP_SLACK:
         raise InvalidDensityMatrix(f"concurrence {value!r} exceeds 1 beyond clamp slack")
     return min(value, 1.0)
@@ -107,24 +117,20 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     otherwise.  Agrees with ``wootters_concurrence`` to 1e-10 on every state
     produced by the reduced-density pipeline.
     """
-    rho, _ = _as_density_matrix(rho)
-    off_pattern = rho.copy()
-    np.fill_diagonal(off_pattern, 0.0)
-    off_pattern[1, 2] = 0.0
-    off_pattern[2, 1] = 0.0
-    stray = float(np.abs(off_pattern).max())
+    r = _as_density_matrix(rho)[0].tolist()  # finite entries: Python arithmetic from here on
+    stray = max(abs(r[i][j]) for i, j in _OFF_PATTERN)
     if stray > PATTERN_TOL:
         raise PatternMismatch(f"off-pattern element of magnitude {stray:.3e} present")
 
-    populations = np.real(np.diag(rho))
-    if float(populations.min()) < -PSD_TOL:
-        raise InvalidDensityMatrix(f"negative population {populations.min()!r}")
-    coherence = abs(complex(rho[1, 2]))
+    populations = [r[i][i].real for i in range(4)]
+    if min(populations) < -PSD_TOL:
+        raise InvalidDensityMatrix(f"negative population {min(populations)!r}")
+    coherence = abs(r[1][2])
     # PSD of the central 2x2 block, checked in closed form.
-    block_min = 0.5 * (populations[1] + populations[2]) - np.hypot(
+    block_min = 0.5 * (populations[1] + populations[2]) - math.hypot(
         0.5 * (populations[1] - populations[2]), coherence
     )
-    if float(block_min) < -PSD_TOL:
+    if block_min < -PSD_TOL:
         raise InvalidDensityMatrix(f"coherence block eigenvalue {block_min!r} negative")
     if populations[0] * populations[3] > coherence**2 + PATTERN_TOL:
         raise PatternMismatch(

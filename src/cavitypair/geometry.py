@@ -109,10 +109,21 @@ class CavityGeometry:
         if self.rddi_a is not None:
             return float(self.rddi_a)
         r_um = float(self.r_ref) * float(self.w0_um)
-        a = (float(self.gamma_ref_hz) - float(self.rddi_b) / r_um**2 - float(self.rddi_c3) / r_um**3) * r_um
+        a = (float(self.gamma_ref_hz) - _multipole_hz(self, 0.0, r_um)) * r_um
         if a < 0.0:
             raise ParameterError("higher-order RDDI terms exceed gamma_ref at r_ref; calibration impossible")
+        if not math.isfinite(a):
+            raise ParameterError(f"calibrated rddi_a = {a!r} is not finite")
         return a
+
+
+def _multipole_hz(geo: CavityGeometry, a: float, r_um):
+    """A/R + B/R^2 + C3/R^3 in Hz at R = r_um (um), with B, C3 from ``geo``.
+
+    Each power of R is divided out one at a time, so no power of a large R
+    overflows: far terms underflow to 0 instead.
+    """
+    return a / r_um + float(geo.rddi_b) / r_um / r_um + float(geo.rddi_c3) / r_um / r_um / r_um
 
 
 def coupling_at(geo: CavityGeometry, x1):
@@ -140,9 +151,7 @@ def rddi_at(geo: CavityGeometry, r):
     r = np.asarray(r, dtype=float)
     if not (np.all(np.isfinite(r)) and np.all(r > 0.0)):
         raise NonpositiveSeparation(f"separation must be positive and finite, got {r!r}")
-    r_um = r * float(geo.w0_um)
-    gamma_hz = geo.rddi_a_effective / r_um + float(geo.rddi_b) / r_um**2 + float(geo.rddi_c3) / r_um**3
-    value = gamma_hz / geo.g0_hz
+    value = _multipole_hz(geo, geo.rddi_a_effective, r * float(geo.w0_um)) / geo.g0_hz
     return float(value) if value.ndim == 0 else value
 
 
@@ -195,9 +204,10 @@ def _zoom(weights, rows, lo, hi, best, curvature, width) -> None:
 
     Each round samples _ZOOM_POINTS times per bracket (_ZOOM_POINTS_LATER
     after the first round) and keeps the two intervals around the largest
-    sample; a bracket whose largest C^2 is more than curvature * spacing^2
-    below its row's best cannot hold the maximum and is dropped, and one
-    narrower than _ZOOM_STOP/width is done.
+    sample; a bracket whose largest C^2 is more than curvature * (width *
+    spacing)^2 below its row's best (curvature in units of width^2) cannot
+    hold the maximum and is dropped, and one narrower than _ZOOM_STOP/width
+    is done.
     """
     fraction, later = (np.linspace(0.0, 1.0, n) for n in (_ZOOM_POINTS, _ZOOM_POINTS_LATER))
     while rows.size:
@@ -208,7 +218,7 @@ def _zoom(weights, rows, lo, hi, best, curvature, width) -> None:
         index = np.arange(rows.size)
         top = values[index, k]
         np.maximum.at(best, rows, top)
-        live = top**2 >= best[rows] ** 2 - curvature[rows] * ((hi - lo) / last) ** 2
+        live = top**2 >= best[rows] ** 2 - curvature[rows] * (width[rows] * (hi - lo) / last) ** 2
         lo = t[index, np.maximum(k - 1, 0)]
         hi = t[index, np.minimum(k + 1, last)]
         live &= width[rows] * (hi - lo) > _ZOOM_STOP
@@ -246,16 +256,16 @@ def numeric_peak_concurrence(params: ModelParams):
     width = energies[:, -1] - energies[:, 0]
     weight = np.abs(vectors * vectors[:, :1, :])
     a = weight[:, 1, :, None] * weight[:, 2, None, :]
-    gap = np.abs(energies[:, :, None] - energies[:, None, :])
+    gap = np.abs(energies[:, :, None] - energies[:, None, :]) / width[:, None, None]  # in [0, 1]
     m0, m1, m2 = (np.sum(a * gap**p, axis=(1, 2)) for p in range(3))
-    curvature = m0 * m2 + m1**2
+    curvature = m0 * m2 + m1**2  # in units of W^2, so no power of a gap overflows
 
     # Coarse grid t = j h, j = 0..n, in blocks of `block` times (a row's last
     # block padded with j = n), a slice of blocks at a time; candidates are
     # kept against the running row maxima, which only ever loosens the cut.
     n = np.ceil(np.maximum(_COARSE_INTERVALS, period * width / _COARSE_WH)).astype(int)
     h = period / n
-    slack = curvature * h**2
+    slack = curvature * (width * h) ** 2
     block = _COARSE_INTERVALS + 1
     blocks = n // block + 1
     owner = np.repeat(np.arange(n.size), blocks)

@@ -39,9 +39,12 @@ class ModelParams:
 
     def __post_init__(self):
         fields = (self.g1, self.g2, self.rddi)
-        if np.broadcast(*fields).ndim:  # a grid; a single model skips the broadcast copies
-            fields = np.broadcast_arrays(*fields)
-        values = np.array(fields, dtype=float)
+        if all(isinstance(value, (float, int)) for value in fields):  # one model: Python comparisons
+            if all(map(math.isfinite, fields)):
+                return
+            values = np.array(fields, dtype=float)
+        else:  # a grid: one array test
+            values = np.array(np.broadcast_arrays(*fields), dtype=float)
         ok = np.isfinite(values)
         if not ok.all():
             index = tuple(np.argwhere(~ok)[0])

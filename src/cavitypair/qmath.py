@@ -12,6 +12,7 @@ All operations are pure functions of immutable inputs and are safe to call
 from parallel workers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import (
     InvalidStep,
     NoConvergence,
     NonHermitianInput,
+    ParameterError,
     UnnormalizedState,
 )
 
@@ -46,37 +48,76 @@ class SpectralDecomposition:
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
+    """Conjugate transpose of a matrix or of each member of a stack; a real input is only transposed."""
+    return (m.conj() if m.dtype.kind == "c" else m).swapaxes(-1, -2)
 
 
-def _entry_max(m: np.ndarray) -> np.ndarray:
-    """max |m_ij| of each matrix of a stack (0 for empty matrices)."""
+def _entry_max(m: np.ndarray):
+    """max |m_ij| of a matrix as a float, or of each matrix of a stack as an array (0 for empty ones).
+
+    NaN entries give NaN, so a NaN input fails every bound checked against it.
+    """
+    if m.ndim == 2:
+        return _abs_max(m)
     return np.abs(m).max(axis=(-2, -1), initial=0.0)
+
+
+def _abs_max(x: np.ndarray) -> float:
+    """max |x| over every entry of an array (0 if empty), NaN if any entry is NaN."""
+    if x.ndim == 0:
+        return abs(float(x))
+    return float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0))
 
 
 def _require_within(values, bounds, error, what: str) -> None:
     """Raise ``error`` for the first matrix of a stack whose value exceeds its bound (or is NaN).
 
-    The common pass costs one comparison; only a failure locates the matrix.
+    One matrix (float values) costs one Python comparison, a stack one array
+    comparison; only a failure locates the matrix.
     """
-    if (values <= bounds).all():
+    if isinstance(values, float):
+        if values <= bounds:
+            return
+    elif (values <= bounds).all():
         return
     values, bounds = np.broadcast_arrays(values, bounds)
     i = np.flatnonzero(~(values <= bounds))[0]
     raise error(f"{what} {values.flat[i]:.3e} exceeds {bounds.flat[i]:.3e} (matrix {i})")
 
 
+def _require_finite_phase(frequencies: np.ndarray, t: np.ndarray) -> None:
+    """ParameterError unless every phase frequency * t is finite (NaN included).
+
+    Judged once per call from max|frequency| * max|t|: rounding is monotone,
+    so that product is finite exactly when every product of an entry pair is.
+    Only when it is not, and each member of a stack has its own time row, is
+    each member judged with its own maxima.
+    """
+    phase = _abs_max(frequencies) * _abs_max(t)
+    if math.isfinite(phase):
+        return
+    if t.ndim == 2 and frequencies.ndim > 1:
+        with np.errstate(over="ignore"):
+            phases = (np.abs(frequencies).reshape(-1, frequencies.shape[-1]).max(axis=-1, initial=0.0)
+                      * np.abs(t).max(axis=-1, initial=0.0))
+        bad = ~np.isfinite(phases)
+        if not bad.any():
+            return
+        phase = float(phases[bad][0])
+    raise ParameterError(f"phase max|E| max|t| = {phase!r} is not finite")
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Return max |m[i,j] - conj(m[j,i])|, the distance from Hermiticity."""
     m = np.asarray(m)
-    return float(_entry_max(m - _dagger(m)).max(initial=0.0))
+    return _abs_max(m - _dagger(m))
 
 
 def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|.
 
     Real input stays real (float64), anything else becomes complex128.  Returns
-    the matrix and the max|m_ij| of each member.
+    the matrix and the max|m_ij| of each member (a float for one matrix).
     """
     m = np.asarray(m)
     m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
@@ -88,13 +129,13 @@ def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, scale
 
 
-def _require_normalized(psi: np.ndarray, dim: int | None = None) -> np.ndarray:
+def _require_normalized(psi, dim: int | None = None) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d state vector, got shape {psi.shape}")
     if dim is not None and psi.shape[0] != dim:
         raise DimensionMismatch(f"state has dimension {psi.shape[0]}, expected {dim}")
-    norm = float(np.linalg.norm(psi))
+    norm = math.sqrt(np.vdot(psi, psi).real)  # overflows to inf, never raises
     if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
         raise UnnormalizedState(f"|psi| = {norm!r} deviates from 1 beyond {NORM_TOL:.0e}")
     return psi
@@ -128,7 +169,7 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     return _eigendecompose(*_require_hermitian(m))
 
 
-def _eigendecompose(m: np.ndarray, scale: np.ndarray) -> SpectralDecomposition:
+def _eigendecompose(m: np.ndarray, scale) -> SpectralDecomposition:
     """``hermitian_eigendecompose`` of a matrix already checked Hermitian, with its max|m_ij| ``scale``."""
     n = m.shape[-1]
     if n > MAX_DIM:
@@ -138,15 +179,26 @@ def _eigendecompose(m: np.ndarray, scale: np.ndarray) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
-    residual = _entry_max(m - (eigenvectors * eigenvalues[..., None, :]) @ _dagger(eigenvectors))
-    _require_within(residual, RESIDUAL_RTOL * np.maximum(scale, 1e-300),
-                    NoConvergence, "reconstruction residual")
-    ortho = _entry_max(_dagger(eigenvectors) @ eigenvectors - np.eye(n))
-    _require_within(ortho, ORTHONORMALITY_TOL, NoConvergence, "eigenvector orthonormality defect")
+    adjoint = _dagger(eigenvectors)
+    residual = _entry_max(m - (eigenvectors * eigenvalues[..., None, :]) @ adjoint)
+    floor = max(scale, 1e-300) if isinstance(scale, float) else np.maximum(scale, 1e-300)
+    _require_within(residual, RESIDUAL_RTOL * floor, NoConvergence, "reconstruction residual")
+    gram = adjoint @ eigenvectors
+    gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0  # V^dagger V - 1, in place
+    _require_within(_entry_max(gram), ORTHONORMALITY_TOL, NoConvergence, "eigenvector orthonormality defect")
 
     eigenvalues.setflags(write=False)
     eigenvectors.setflags(write=False)
     return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _phases(angle: np.ndarray) -> np.ndarray:
+    """exp(-i angle) as cos(angle) - i sin(angle), written into one buffer: no complex exp; angle is overwritten."""
+    phases = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=phases.real)
+    np.negative(angle, out=angle)
+    np.sin(angle, out=phases.imag)
+    return phases
 
 
 def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.ndarray:
@@ -167,19 +219,22 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
     np.ndarray
         psi(t) with shape (n,) for scalar t, else (nt, n); a stack puts its
         axis of length k in front.  The norm is conserved to 1e-12 for any t.
+
+    Raises
+    ------
+    ParameterError
+        If a phase E t is not finite (checked once, from max|E| max|t|).
     """
     psi0 = _require_normalized(psi0, decomp.dim)
-    vectors = decomp.eigenvectors
-    coeff = _dagger(vectors) @ psi0
+    energies, vectors = decomp.eigenvalues, decomp.eigenvectors
     t_arr = np.asarray(t, dtype=float)
-    angle = np.atleast_1d(t_arr)[..., None] * decomp.eigenvalues[..., None, :]
-    # exp(-i angle) = cos(angle) - i sin(angle), written into one buffer: no complex exp.
-    phases = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=phases.real)
-    np.negative(angle, out=angle)
-    np.sin(angle, out=phases.imag)
-    out = (phases * coeff[..., None, :]) @ np.swapaxes(vectors, -1, -2)
-    return out[..., 0, :] if t_arr.ndim == 0 else out
+    _require_finite_phase(energies, t_arr)
+    coeff = _dagger(vectors) @ psi0
+    if t_arr.ndim == 0:  # one time: psi = V (phases * coeff), per member of a stack
+        weighted = _phases(energies * t_arr) * coeff
+        return (vectors @ weighted[..., None])[..., 0]
+    weighted = _phases(t_arr[..., None] * energies[..., None, :]) * coeff[..., None, :]
+    return weighted @ vectors.swapaxes(-1, -2)
 
 
 def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
@@ -189,7 +244,8 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     norm drift is a usable accuracy diagnostic.  The final step is shortened
     when t_final is not an integer multiple of dt.  One RK4 step of this linear
     system is the matrix T(s) = sum_{k<=4} (-i H s)^k / k!, the RK4 stability
-    function (Hairer, Norsett & Wanner I, sec. II.2); n steps are T(dt)^n.
+    function (Hairer, Norsett & Wanner I, sec. II.2); n steps are T(dt)^n,
+    applied to psi by repeated squaring: T^(2^j) psi for each set bit j of n.
 
     Raises InvalidStep for dt <= 0, t_final < 0, or dt > t_final > 0.
     """
@@ -206,15 +262,27 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     if t_final == 0.0:
         return psi.copy()
 
-    n_full = int(np.floor(t_final / dt + 1e-12))
+    n_full = math.floor(t_final / dt + 1e-12)
     remainder = t_final - n_full * dt
-    eye = np.eye(h.shape[0])
+    diagonal = slice(None, None, h.shape[0] + 1)  # the diagonal of a flattened square matrix
 
-    def step(s):  # T(s) in Horner form
-        a = -1j * s * h
-        return eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+    def step(s):  # T(s) in Horner form: 1 + a (1 + a/2 (1 + a/3 (1 + a/4))), a = -i s H
+        a = (-1j * s) * h
+        out = a / 4.0
+        for k in (3.0, 2.0, 1.0):
+            out.ravel()[diagonal] += 1.0
+            out = a.dot(out) / k
+        out.ravel()[diagonal] += 1.0
+        return out
 
-    psi = np.linalg.matrix_power(step(dt), n_full) @ psi
+    # One matrix throughout, so ndarray.dot: the same product with less dispatch than @.
+    power = step(dt)
+    while n_full:
+        if n_full & 1:
+            psi = power.dot(psi)
+        n_full >>= 1
+        if n_full:
+            power = power.dot(power)
     if remainder > 1e-12 * dt:
-        psi = step(remainder) @ psi
+        psi = step(remainder).dot(psi)
     return psi

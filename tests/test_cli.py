@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -378,3 +379,44 @@ class TestUsageErrors:
         assert code == 2
         code, _, _ = run_cli("sweep", "--x1-steps", "0")
         assert code == 2
+
+
+class TestDomainEdges:
+    """Extreme inputs end in exit 0 or 2: no traceback, no warning, no non-finite cell."""
+
+    @pytest.mark.parametrize("args, expected", [
+        (("evolve", "--alpha-re", "1e200", "--beta-re", "1e200"), 2),
+        (("evolve", "--g1", "1e10", "--t-max", "1e308", "--t-steps", "3"), 2),
+        (("sweep", "--w0-um", "1e300", "--numeric-peaks"), 0),
+        (("sweep", "--w0-um", "1e305"), 2),
+        (("sweep", "--numeric-peaks", "--g0-mhz", "1e-300"), 0),
+        (("spectrum", "--g1", "-1", "--rddi", "-0.5"), 0),
+    ])
+    def test_exit_code_and_quiet(self, args, expected):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(*args)
+        assert code == expected
+        assert "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert not any(cell in ("nan", "inf", "-inf") for line in out.split("\n")[1:]
+                           for cell in line.split(","))
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_evolve_messages(self):
+        _, _, err = run_cli("evolve", "--alpha-re", "1e200", "--beta-re", "1e200")
+        assert err == "error: UnnormalizedState: |psi| = inf deviates from 1 beyond 1e-10\n"
+        _, _, err = run_cli("evolve", "--g1", "1e10", "--t-max", "1e308", "--t-steps", "3")
+        assert err == "error: ParameterError: phase max|E| max|t| = inf is not finite\n"
+
+    @pytest.mark.parametrize("g1, rddi", [(-1.0, -0.5), (0.0, 1.0), (1.0, -0.5), (-0.3, 0.7)])
+    def test_spectrum_analytic_columns_share_the_numeric_gauge(self, g1, rddi):
+        code, out, _ = run_cli("spectrum", "--g1", str(g1), "--rddi", str(rddi))
+        assert code == 0
+        header, rows = parse_csv(out)
+        for part in ("photon", "atom1", "atom2"):
+            analytic = np.array(column(header, rows, f"{part}_analytic"))
+            numeric = np.array(column(header, rows, f"{part}_numeric"))
+            assert np.max(np.abs(analytic - numeric)) <= 1e-12

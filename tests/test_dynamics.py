@@ -56,6 +56,10 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialState(alpha=float("nan"), beta=0.0)
 
+    def test_overflowing_norm_is_unnormalized(self):
+        with pytest.raises(UnnormalizedState, match=r"^\|psi\| = inf deviates from 1"):
+            InitialState(alpha=1e200, beta=1e200)
+
 
 class TestTimeSeries:
     def test_rejects_descending_times(self):

@@ -154,3 +154,33 @@ class TestFastPathAgreement:
             psi = evolve(ModelParams(g1=g1, rddi=rddi), init, rng.uniform(0.0, 10.0))
             rho = reduced_density(psi)
             assert abs(wootters_concurrence(rho) - xstate_concurrence(rho)) <= 1e-10
+
+
+class TestWoottersChecks:
+    """Each check of the 4x4 path raises its own class and message, NaN input included.
+
+    The eigensolver's residual and orthonormality checks on this path are in test_qmath, next to
+    the helper that corrupts the eigensolver.
+    """
+
+    def test_non_hermitian(self):
+        rho = reduced_density(PEAK_STATE)
+        rho[0, 3] = 1e-9
+        with pytest.raises(InvalidDensityMatrix) as info:
+            wootters_concurrence(rho)
+        assert str(info.value) == "Hermiticity defect 1.000e-09 exceeds 1e-12"
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (0, 3)])
+    @pytest.mark.parametrize("concurrence", [wootters_concurrence, xstate_concurrence])
+    def test_nan_rejected(self, entry, concurrence):
+        rho = reduced_density(PEAK_STATE)
+        rho[entry] = np.nan
+        with pytest.raises(InvalidDensityMatrix) as info:
+            concurrence(rho)
+        assert str(info.value) == "Hermiticity defect nan exceeds 1e-12"
+
+    def test_unnormalized(self):
+        rho = 1.1 * reduced_density(PEAK_STATE)
+        with pytest.raises(InvalidDensityMatrix) as info:
+            wootters_concurrence(rho)
+        assert str(info.value) == "trace 1.1 deviates from 1 beyond 1e-10"

@@ -60,6 +60,17 @@ class TestGeometryConfig:
         with pytest.raises(ParameterError):
             CavityGeometry(rddi_b=1e9, gamma_ref_hz=1.0).rddi_a_effective
 
+    @pytest.mark.parametrize("w0_um", [1e150, 1e300])
+    def test_calibration_at_huge_waists(self, w0_um):
+        # no power of R overflows: the far multipoles underflow to 0 and Gamma(R_ref) = gamma_ref holds
+        geo = CavityGeometry(w0_um=w0_um, rddi_b=1e5, rddi_c3=1e5)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert rddi_at(geo, geo.r_ref) * geo.g0_hz == pytest.approx(geo.gamma_ref_hz, rel=1e-15)
+
+    def test_rejects_infinite_calibration(self):
+        with pytest.raises(ParameterError, match="calibrated rddi_a = inf is not finite"):
+            CavityGeometry(w0_um=1e305).rddi_a_effective
+
 
 class TestCouplingProfile:
     def test_waist_center(self):

@@ -12,6 +12,7 @@ from cavitypair import (
     ModelParams,
     NoConvergence,
     NonHermitianInput,
+    ParameterError,
     UnnormalizedState,
     evolve,
     evolve_spectral,
@@ -19,6 +20,7 @@ from cavitypair import (
     hermiticity_defect,
     reduced_density,
     rk4_schrodinger,
+    wootters_concurrence,
 )
 
 OMEGA = 1.118033988749895  # sqrt(1 + 0.25)
@@ -275,6 +277,91 @@ class TestChecksNameTheMatrix:
         stack = np.array([h_model(1.0, 0.5).real, h_model(1.0, 0.5).real])
         with pytest.raises(NoConvergence, match=r"orthonormality defect .* \(matrix 1\)"):
             hermitian_eigendecompose(stack)
+
+
+def peak_density():
+    """Reduced two-atom state at the first concurrence peak: rank 2, so two eigenvalues are ~0."""
+    return reduced_density(evolve(ModelParams(g1=1.0, rddi=0.5), InitialState(), T_PEAK))
+
+
+class TestChecksOnOneMatrix:
+    """The single-matrix path keeps every check, bound, error class and message of the stack path."""
+
+    _corrupt_eigh = staticmethod(TestChecksNameTheMatrix._corrupt_eigh)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_hermitian(self, dtype):
+        h = h_model(1.0, 0.5).real.astype(dtype)
+        h[2, 0] += 1e-9
+        with pytest.raises(NonHermitianInput) as info:
+            hermitian_eigendecompose(h)
+        assert str(info.value) == "Hermiticity defect 1.000e-09 exceeds 1.000e-12 (matrix 0)"
+        with pytest.raises(NonHermitianInput, match=r"^Hermiticity defect 1\.000e-09 exceeds"):
+            rk4_schrodinger(h, [1.0, 0.0, 0.0], 1.0, 0.1)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_rejected(self, dtype):
+        h = h_model(1.0, 0.5).real.astype(dtype)
+        h[0, 1] = h[1, 0] = np.nan
+        with pytest.raises(NonHermitianInput) as info, np.errstate(invalid="ignore"):
+            hermitian_eigendecompose(h)
+        assert str(info.value) == "Hermiticity defect nan exceeds nan (matrix 0)"
+
+    def test_bad_residual(self, monkeypatch):
+        def corrupt(eigenvalues, eigenvectors):
+            eigenvalues[-1] *= 1.0 + 1e-9
+
+        rho = peak_density()
+        self._corrupt_eigh(monkeypatch, corrupt)
+        with pytest.raises(NoConvergence, match=r"^reconstruction residual .* exceeds .* \(matrix 0\)$"):
+            hermitian_eigendecompose(h_model(2.0, 1e-3).real)
+        with pytest.raises(NoConvergence, match=r"^reconstruction residual .* \(matrix 0\)$"):
+            evolve(ModelParams(g1=2.0, rddi=1e-3), InitialState(), 1.0)
+        with pytest.raises(NoConvergence, match=r"^reconstruction residual .* \(matrix 0\)$"):
+            wootters_concurrence(rho)
+
+    def test_bad_orthonormality(self, monkeypatch):
+        # stretch the dark mode (eigenvalue ~1e-17): V diag(E) V^T moves by ~1e-20, V^T V by 2e-3
+        def corrupt(eigenvalues, eigenvectors):
+            eigenvectors[:, 1] *= 1.001
+
+        self._corrupt_eigh(monkeypatch, corrupt)
+        with pytest.raises(NoConvergence) as info:
+            hermitian_eigendecompose(h_model(1.0, 0.5).real)
+        assert str(info.value) == "eigenvector orthonormality defect 2.001e-03 exceeds 1.000e-12 (matrix 0)"
+
+    def test_bad_orthonormality_density_matrix(self, monkeypatch):
+        # the reduced state has rank 2: stretching a null vector moves V diag(E) V^dag by ~1e-20
+        def corrupt(eigenvalues, eigenvectors):
+            eigenvectors[:, 0] *= 1.001
+
+        rho = peak_density()
+        self._corrupt_eigh(monkeypatch, corrupt)
+        with pytest.raises(NoConvergence) as info:
+            wootters_concurrence(rho)
+        assert str(info.value) == "eigenvector orthonormality defect 2.001e-03 exceeds 1.000e-12 (matrix 0)"
+
+    def test_unnormalized_state(self):
+        decomp = hermitian_eigendecompose(h_model(1.0, 0.5).real)
+        with pytest.raises(UnnormalizedState) as info:
+            evolve_spectral(decomp, [1.1, 0.0, 0.0], 1.0)
+        assert str(info.value) == "|psi| = 1.1 deviates from 1 beyond 1e-10"
+        with pytest.raises(UnnormalizedState, match=r"^\|psi\| = nan deviates"):
+            evolve_spectral(decomp, [np.nan, 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan, [0.0, 1e308]])
+    def test_non_finite_phase(self, t):
+        decomp = hermitian_eigendecompose(h_model(1e10, 0.5).real)
+        with pytest.raises(ParameterError, match=r"^phase max\|E\| max\|t\| = (inf|nan) is not finite$"):
+            evolve_spectral(decomp, [1.0, 0.0, 0.0], t)
+
+    def test_per_member_times_judged_per_member(self):
+        # member 0 has a huge spectrum and short times, member 1 the reverse: no phase overflows
+        decomp = hermitian_eigendecompose(np.array([h_model(1e300, 0.0).real, h_model(1e-15, 0.0).real]))
+        out = evolve_spectral(decomp, [1.0, 0.0, 0.0], np.array([[1e-300], [1e15]]))
+        assert np.all(np.isfinite(out))
+        with pytest.raises(ParameterError, match="is not finite"):
+            evolve_spectral(decomp, [1.0, 0.0, 0.0], np.array([[1e10], [1e15]]))
 
 
 class TestRk4:
