@@ -31,6 +31,7 @@ from .qmath import (
     _entry_max,
     _require_finite_phase,
     _require_normalized,
+    _require_square,
     evolve_spectral,
 )
 
@@ -106,10 +107,11 @@ def _model_decomposition(params: ModelParams) -> SpectralDecomposition:
 
     ``build_single_excitation_h`` writes each coupling into both triangles and
     ``ModelParams`` admits finite couplings only, so H is exactly symmetric
-    and finite: the Hermiticity test is skipped, the residual and
-    orthonormality bounds are checked as always.
+    and finite: the Hermiticity test is skipped; the shape, residual and
+    orthonormality checks run as always.
     """
     h = build_single_excitation_h(params)
+    _require_square(h)
     return _eigendecompose(h, _entry_max(h))
 
 

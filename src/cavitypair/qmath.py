@@ -48,8 +48,7 @@ class SpectralDecomposition:
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix or of each member of a stack; a real input is only transposed."""
-    return (m.conj() if m.dtype.kind == "c" else m).swapaxes(-1, -2)
+    return m.conj().swapaxes(-1, -2)
 
 
 def _entry_max(m: np.ndarray):
@@ -113,6 +112,12 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return _abs_max(m - _dagger(m))
 
 
+def _require_square(m: np.ndarray) -> None:
+    """DimensionMismatch unless m is one square matrix or a 1-d stack of them."""
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
+
+
 def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|.
 
@@ -121,8 +126,7 @@ def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(m)
     m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    _require_square(m)
     scale = _entry_max(m)
     _require_within(_entry_max(m - _dagger(m)), HERMITICITY_RTOL * scale,
                     NonHermitianInput, "Hermiticity defect")
@@ -230,11 +234,9 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
     t_arr = np.asarray(t, dtype=float)
     _require_finite_phase(energies, t_arr)
     coeff = _dagger(vectors) @ psi0
-    if t_arr.ndim == 0:  # one time: psi = V (phases * coeff), per member of a stack
-        weighted = _phases(energies * t_arr) * coeff
-        return (vectors @ weighted[..., None])[..., 0]
-    weighted = _phases(t_arr[..., None] * energies[..., None, :]) * coeff[..., None, :]
-    return weighted @ vectors.swapaxes(-1, -2)
+    phases = _phases(np.atleast_1d(t_arr)[..., None] * energies[..., None, :])
+    out = (phases * coeff[..., None, :]) @ vectors.swapaxes(-1, -2)
+    return out[..., 0, :] if t_arr.ndim == 0 else out
 
 
 def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) -> np.ndarray:
@@ -252,6 +254,7 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     h, _ = _require_hermitian(h)
     if h.ndim != 2:
         raise DimensionMismatch(f"expected a single matrix, got shape {h.shape}")
+    h = np.ascontiguousarray(h)  # so every T(s) below is C-ordered and its ravel() a view
     if dt <= 0.0:
         raise InvalidStep(f"dt = {dt!r} must be positive")
     if t_final < 0.0:

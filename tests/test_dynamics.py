@@ -9,6 +9,7 @@ from cavitypair import dynamics
 from cavitypair import (
     CavityPairError,
     DegenerateModel,
+    DimensionMismatch,
     InitialState,
     ModelParams,
     TimeSeries,
@@ -97,6 +98,15 @@ class TestEvolve:
         grid = np.linspace(0.0, 100.0, 2001)
         out = evolve(ModelParams(g1=0.8, g2=0.3, rddi=0.2), InitialState(), grid)
         assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) <= 1e-12
+
+    def test_two_dimensional_grid_of_models_refused(self):
+        # a grid of models propagates as one 1-d stack; a 2-d grid has no such layout
+        params = ModelParams(g1=np.ones((2, 2)), rddi=np.full((2, 2), 0.5))
+        message = r"^expected a square matrix or a stack of them, got shape \(2, 2, 3, 3\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            evolve(params, InitialState(), 1.0)
+        with pytest.raises(DimensionMismatch, match=message):
+            concurrence_series(params, InitialState(), [0.0, 1.0])
 
 
 class TestReducedDensity:

@@ -420,3 +420,13 @@ class TestRk4:
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         out = rk4_schrodinger(h, psi0, 10.0, 1e-3)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
+
+    def test_memory_layout_does_not_matter(self):
+        # a Fortran-ordered H, complex or real, gives the state of the C-ordered one
+        h = h_model(1.0, 0.5, 0.3) + np.diag([0.2, -0.1, 0.4])
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        expected = rk4_schrodinger(h, psi0, 2.05, 1e-2)
+        for layout in (np.asfortranarray(h), np.asfortranarray(h.real)):
+            assert not layout.flags.c_contiguous
+            out = rk4_schrodinger(layout, psi0, 2.05, 1e-2)
+            assert np.max(np.abs(out - expected)) <= 1e-14
