@@ -50,17 +50,12 @@ DEFAULT_X1_MAX = 2.0
 DEFAULT_X1_STEPS = 101
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
-def _csv(header, rows) -> str:
+def _csv(header, columns) -> str:
+    """CSV text of ``columns``, one per header field: a column of str as is, numbers as %.17g."""
+    cells = [col if isinstance(col[0], str) else map("%.17g".__mod__, np.asarray(col, dtype=float).tolist())
+             for col in columns]
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -246,32 +241,22 @@ def cmd_spectrum(cfg: dict) -> int:
     spectrum = analytic_spectrum(ModelParams(g1=params.g1, g2=0.0, rddi=params.rddi))
     h_full = build_single_excitation_h(params)
     decomp = hermitian_eigendecompose(h_full)
+    values = (-spectrum.omega, 0.0, spectrum.omega)
+    vectors = np.array([_gauge_fix(vec) for vec in (spectrum.bright_minus, spectrum.dark, spectrum.bright_plus)])
+    num_vectors = np.array([_gauge_fix(vec) for vec in decomp.eigenvectors.T]).real
 
-    analytic_pairs = [
-        (-spectrum.omega, spectrum.bright_minus),
-        (0.0, spectrum.dark),
-        (spectrum.omega, spectrum.bright_plus),
-    ]
-    rows = []
-    for i, (value, vec) in enumerate(analytic_pairs):
-        vec = _gauge_fix(vec)
-        num_value = decomp.eigenvalues[i]
-        num_vec = _gauge_fix(decomp.eigenvectors[:, i].copy())
-        res_analytic = float(np.linalg.norm(h_full @ vec - value * vec))
-        res_numeric = float(np.linalg.norm(h_full @ num_vec - num_value * num_vec))
-        rows.append(
-            (i, value, num_value,
-             vec[0], vec[1], vec[2],
-             num_vec[0].real, num_vec[1].real, num_vec[2].real,
-             res_analytic, res_numeric)
-        )
+    def residuals(energies, vecs):
+        return [np.linalg.norm(h_full @ vec - e * vec) for e, vec in zip(energies, vecs)]
+
     header = (
         "index", "eigenvalue_analytic", "eigenvalue_numeric",
         "photon_analytic", "atom1_analytic", "atom2_analytic",
         "photon_numeric", "atom1_numeric", "atom2_numeric",
         "residual_analytic", "residual_numeric",
     )
-    _emit(cfg, _csv(header, rows))
+    columns = (range(3), values, decomp.eigenvalues, *vectors.T, *num_vectors.T,
+               residuals(values, vectors), residuals(decomp.eigenvalues, num_vectors))
+    _emit(cfg, _csv(header, columns))
     return 0
 
 
@@ -286,11 +271,8 @@ def cmd_evolve(cfg: dict) -> int:
     concurrence = _concurrence(_atom_weights(decomp, psi0), grid)
     header = ("t", "photon_re", "photon_im", "atom1_re", "atom1_im",
               "atom2_re", "atom2_im", "norm", "concurrence")
-    rows = [
-        (t, p[0].real, p[0].imag, p[1].real, p[1].imag, p[2].real, p[2].imag, n, c)
-        for t, p, n, c in zip(grid, psi, norms, concurrence)
-    ]
-    _emit(cfg, _csv(header, rows))
+    parts = [part for amplitude in psi.T for part in (amplitude.real, amplitude.imag)]
+    _emit(cfg, _csv(header, (grid, *parts, norms, concurrence)))
     return 0
 
 
@@ -303,20 +285,15 @@ def cmd_sweep(cfg: dict) -> int:
     if result.c_peak_numeric is not None:
         header.append("c_peak_numeric")
         columns.append(result.c_peak_numeric)
-    rows = list(zip(*columns))
-    _emit(cfg, _csv(header, rows))
+    _emit(cfg, _csv(header, columns))
     return 0
 
 
 def cmd_mesh(cfg: dict) -> int:
     _require_format(cfg, "csv", "mesh")
     x1_grid, t_grid, values = _mesh(cfg)
-    rows = [
-        (x1, t, values[i, k])
-        for i, x1 in enumerate(x1_grid)
-        for k, t in enumerate(t_grid)
-    ]
-    _emit(cfg, _csv(("x1", "t", "concurrence"), rows))
+    columns = (np.repeat(x1_grid, t_grid.size), np.tile(t_grid, x1_grid.size), values.ravel())
+    _emit(cfg, _csv(("x1", "t", "concurrence"), columns))
     return 0
 
 
@@ -331,10 +308,10 @@ def cmd_peaks(cfg: dict) -> int:
     rows = [(kind, params.g1) + row for row in zip(rddi, peaks.ratio, peaks.c_peak, peaks.t_peak, peaks.period)]
     if scan is not None:
         rows.append(("argmax",) + rows[int(np.argmax(peaks.c_peak))][1:])
-        r_opt, c_opt = scan_peak_optimum(params.g1)
+        r_opt, c_opt = scan_peak_optimum(abs(params.g1))  # the peak depends on |g1| only
         optimum = peak_report(ModelParams(g1=params.g1, rddi=r_opt))
         rows.append(("optimum", params.g1, r_opt, optimum.ratio, c_opt, optimum.t_peak, optimum.period))
-    _emit(cfg, _csv(header, rows))
+    _emit(cfg, _csv(header, list(zip(*rows))))
     return 0
 
 
@@ -442,17 +419,16 @@ def _selftest_checks():
 
 
 def cmd_selftest(cfg: dict) -> int:
-    failures = 0
+    lines = []
     for name, check in _selftest_checks():
         try:
             ok = check()
         except Exception as exc:  # a crashed check is a failed check
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
-            failures += 1
+            lines.append(f"FAIL {name}: {type(exc).__name__}: {exc}\n")
             continue
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 3
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}\n")
+    _emit(cfg, "".join(lines))
+    return 0 if all(line.startswith("PASS ") for line in lines) else 3
 
 
 def _shared_parser() -> argparse.ArgumentParser:

@@ -49,6 +49,8 @@ _SCAN_POINTS = 129
 _SQRT_EPS = 1.5e-8
 # Points per slice of the concurrence kernel.
 _KERNEL_POINTS = 8192
+# Smallest Omega whose period 2 pi/Omega is finite (division is monotone).
+_OMEGA_MIN = 2.0 * math.pi / math.nextafter(math.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -276,23 +278,34 @@ def peak_times(g1: float, rddi: float, m_max: int = 1) -> np.ndarray:
     return np.sort(times)
 
 
+def _period(omega):
+    """Period 2 pi/Omega of the g2 = 0 model, for a float or an array Omega.
+
+    Raises DegenerateModel when Omega = 0 or when 2 pi/Omega would overflow;
+    Omega is compared before the division, so no overflow warning is printed.
+    """
+    if _any(omega < _OMEGA_MIN):
+        if _any(omega == 0.0):
+            raise DegenerateModel("g1 = rddi = 0: period undefined")
+        raise DegenerateModel(f"Omega = {float(np.min(omega))!r}: period 2 pi/Omega overflows")
+    return 2.0 * math.pi / omega
+
+
 def peak_report(params: ModelParams) -> PeakReport:
     """Closed-form peak height, first peak time, period and coupling ratio.
 
     Requires g2 = 0 and the photon-fed initial state.  Raises DegenerateModel
-    when Omega = 0 and ZeroCoupling when g1 = 0 (the ratio Gamma/g1 would be
-    undefined; no sentinel is substituted).
+    when Omega = 0 or 2 pi/Omega overflows, and ZeroCoupling when g1 = 0 (the
+    ratio Gamma/g1 would be undefined; no sentinel is substituted).
     """
     g1, g2, rddi = _values(params.g1), _values(params.g2), _values(params.rddi)
     if _any(g2 != 0.0):
         raise ParameterError("peak analytics are defined for g2 = 0 only")
     omega = np.hypot(g1, rddi)
-    if _any(omega == 0.0):
-        raise DegenerateModel("g1 = rddi = 0: period undefined")
+    period = _period(omega)
     if _any(g1 == 0.0):
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
-    fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE,
-              2.0 * math.pi / omega, rddi / g1)
+    fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE, period, rddi / g1)
     return PeakReport(*fields) if omega.ndim else PeakReport(*map(float, fields))
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentAtoms, DegenerateModel, NonpositiveSeparation, ParameterError
-from .dynamics import InitialState, _atom_weights, _concurrence, _model_concurrence, peak_report
+from .errors import CoincidentAtoms, NonpositiveSeparation, ParameterError
+from .dynamics import InitialState, _atom_weights, _concurrence, _model_concurrence, _period, peak_report
 from .model import ModelParams, build_single_excitation_h
 from .qmath import hermitian_eigendecompose
 
@@ -39,6 +39,13 @@ _SLICE_POINTS = 2**18
 _ZOOM_POINTS = 9
 _ZOOM_POINTS_LATER = 17
 _ZOOM_STOP = 5e-8
+# CavityGeometry fields checked on construction, in order, with the sign each
+# needs (None: any finite value, and the message shows the value as given).
+_FIELD_RULES = (
+    ("g0_mhz", "positive"), ("w0_um", "positive"), ("lambda_um", "positive"),
+    ("gamma_ref_hz", "positive"), ("r_ref", "positive"),
+    ("rddi_b", "non-negative"), ("rddi_c3", "non-negative"), ("rddi_a", "non-negative"), ("x2", None),
+)
 
 
 @dataclass(frozen=True)
@@ -80,20 +87,13 @@ class CavityGeometry:
     r_ref: float = 3.0
 
     def __post_init__(self):
-        for name in ("g0_mhz", "w0_um", "lambda_um", "gamma_ref_hz", "r_ref"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} = {value!r} must be finite and positive")
-        for name in ("rddi_b", "rddi_c3"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(f"{name} = {value!r} must be finite and non-negative")
-        if self.rddi_a is not None:
-            value = float(self.rddi_a)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ParameterError(f"rddi_a = {value!r} must be finite and non-negative")
-        if not math.isfinite(float(self.x2)):
-            raise ParameterError(f"x2 = {self.x2!r} must be finite")
+        for name, rule in _FIELD_RULES:
+            raw = getattr(self, name)
+            value = 0.0 if raw is None else float(raw)  # rddi_a = None: calibrated
+            signed_ok = rule is None or value > 0.0 or (value == 0.0 and rule == "non-negative")
+            if not (math.isfinite(value) and signed_ok):
+                shown = raw if rule is None else value
+                raise ParameterError(f"{name} = {shown!r} must be finite" + (f" and {rule}" if rule else ""))
 
     @property
     def g0_hz(self) -> float:
@@ -146,12 +146,14 @@ def rddi_at(geo: CavityGeometry, r):
 
     Evaluates A/R + B/R^2 + C3/R^3 in Hz at R = r w0 and converts to g0
     units.  Accepts scalar or array r; raises NonpositiveSeparation unless
-    every entry is positive.
+    every entry is positive.  A Gamma/g0 that overflows is inf, with no
+    warning; ``ModelParams`` rejects it.
     """
     r = np.asarray(r, dtype=float)
     if not (np.all(np.isfinite(r)) and np.all(r > 0.0)):
         raise NonpositiveSeparation(f"separation must be positive and finite, got {r!r}")
-    value = _multipole_hz(geo, geo.rddi_a_effective, r * float(geo.w0_um)) / geo.g0_hz
+    with np.errstate(over="ignore"):  # ModelParams refuses the inf, so no warning is due
+        value = _multipole_hz(geo, geo.rddi_a_effective, r * float(geo.w0_um)) / geo.g0_hz
     return float(value) if value.ndim == 0 else value
 
 
@@ -229,6 +231,10 @@ def _zoom(weights, rows, lo, hi, best, curvature, width) -> None:
 def numeric_peak_concurrence(params: ModelParams):
     """Maximum of the propagated concurrence over t in [0, 2 pi/Omega], g2 kept.
 
+    The window is one period of the g2 = 0 model, Omega = sqrt(g1^2 + Gamma^2).
+    With g2 kept the motion is not periodic at 2 pi/Omega; once |g2| is not
+    small against |g1| the result is the maximum over this window only, not
+    over all t.
     A grid of models is searched as one stack (array result; float for a
     scalar model).  With psi0 = (1, 0, 0), C = 2|g| for the exponential sum
     g = b conj(c) = sum_jk a_jk exp(-i (E_j - E_k) t), a_jk = V_1j V_0j V_2k V_0k
@@ -244,15 +250,13 @@ def numeric_peak_concurrence(params: ModelParams):
     the true maximum.  Work runs in slices of at most 2^18 points, so memory
     stays bounded at any W/Omega.
     """
-    omega = np.hypot(params.g1, params.rddi)
-    if np.any(omega == 0.0):
-        raise DegenerateModel("g1 = rddi = 0: period undefined")
+    period = _period(np.hypot(params.g1, params.rddi))
     hamiltonians = build_single_excitation_h(params)
     shape = hamiltonians.shape[:-2]
     decomp = hermitian_eigendecompose(hamiltonians.reshape(-1, 3, 3))
     energies, vectors = decomp.eigenvalues, decomp.eigenvectors
     weights = _atom_weights(decomp, InitialState().vector())
-    period = np.broadcast_to(2.0 * math.pi / omega, shape).ravel()
+    period = np.broadcast_to(period, shape).ravel()
     width = energies[:, -1] - energies[:, 0]
     weight = np.abs(vectors * vectors[:, :1, :])
     a = weight[:, 1, :, None] * weight[:, 2, None, :]

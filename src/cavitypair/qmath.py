@@ -249,7 +249,8 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     function (Hairer, Norsett & Wanner I, sec. II.2); n steps are T(dt)^n,
     applied to psi by repeated squaring: T^(2^j) psi for each set bit j of n.
 
-    Raises InvalidStep for dt <= 0, t_final < 0, or dt > t_final > 0.
+    Raises InvalidStep for dt <= 0, t_final < 0, dt > t_final > 0, or a
+    non-finite t_final / dt.
     """
     h, _ = _require_hermitian(h)
     if h.ndim != 2:
@@ -265,7 +266,10 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     if t_final == 0.0:
         return psi.copy()
 
-    n_full = math.floor(t_final / dt + 1e-12)
+    steps = float(t_final) / float(dt)  # Python floats: an overflow gives inf, no warning
+    if not math.isfinite(steps):
+        raise InvalidStep(f"t_final / dt = {steps!r} is not finite")
+    n_full = math.floor(steps + 1e-12)
     remainder = t_final - n_full * dt
     diagonal = slice(None, None, h.shape[0] + 1)  # the diagonal of a flattened square matrix
 

@@ -204,6 +204,19 @@ class TestPeaks:
         assert code == 2
         assert "ZeroCoupling" in err
 
+    def test_scan_with_negative_g1_mirrors_positive_g1(self):
+        # the peak depends on |g1|: every column but the signed g1 and ratio is unchanged
+        _, plus, _ = run_cli("peaks", "--g1", "1", "--scan-rddi", "0:1:3")
+        code, minus, _ = run_cli("peaks", "--g1", "-1", "--scan-rddi", "0:1:3")
+        assert code == 0
+        header, rows_plus = parse_csv(plus)
+        _, rows_minus = parse_csv(minus)
+        assert column(header, rows_minus, "kind", str) == ["scan"] * 3 + ["argmax", "optimum"]
+        for name in ("g1", "ratio"):
+            assert column(header, rows_minus, name) == [-v for v in column(header, rows_plus, name)]
+        for name in ("rddi", "c_peak", "t_peak", "period"):
+            assert column(header, rows_minus, name, str) == column(header, rows_plus, name, str)
+
     def test_malformed_scan_range(self):
         for bad in ("1:2", "2:1:5", "a:b:9", "0.1:2:1"):
             code, _, err = run_cli("peaks", "--g1", "1", "--scan-rddi", bad)
@@ -217,6 +230,16 @@ class TestSelftest:
         lines = out.strip().split("\n")
         assert len(lines) == 5
         assert all(line.startswith("PASS ") for line in lines)
+
+
+    def test_out_file_gets_the_lines(self, tmp_path):
+        target = tmp_path / "selftest.txt"
+        code, out, _ = run_cli("selftest", "--out", str(target))
+        assert code == 0
+        assert out == ""
+        lines = target.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == 6
+        assert all(line.startswith("PASS ") for line in lines[:-1])
 
 
 class TestPlot:
@@ -391,6 +414,12 @@ class TestDomainEdges:
         (("sweep", "--w0-um", "1e305"), 2),
         (("sweep", "--numeric-peaks", "--g0-mhz", "1e-300"), 0),
         (("spectrum", "--g1", "-1", "--rddi", "-0.5"), 0),
+        (("peaks", "--g1", "1e-320", "--rddi", "0"), 2),
+        (("sweep", "--gamma-ref-hz", "1e-300", "--x1-min", "20", "--x1-max", "27", "--x1-steps", "3"), 2),
+        (("sweep", "--numeric-peaks", "--g0-mhz", "1e-310"), 2),
+        (("evolve", "--x2", "0", "--x1", "1e-320", "--t-steps", "2"), 2),
+        (("peaks", "--g1", "-1", "--rddi", "0.5"), 0),
+        (("peaks", "--g1", "-1", "--scan-rddi", "0:1:3"), 0),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         with warnings.catch_warnings(record=True) as caught:

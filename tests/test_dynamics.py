@@ -280,6 +280,33 @@ class TestPeakReport:
         with pytest.raises(ZeroCoupling):
             peak_report(ModelParams(g1=0.0, rddi=0.5))
 
+    @pytest.mark.parametrize("g1", [1e-320, np.array([1.0, 1e-320])])
+    def test_overflowing_period_refused_quietly(self, g1):
+        with np.errstate(all="raise"), pytest.raises(DegenerateModel, match="period 2 pi/Omega overflows"):
+            peak_report(ModelParams(g1=g1))
+
+
+class TestPeriod:
+    """One period check for the peak analytics and the numeric peak search."""
+
+    def test_smallest_omega_has_the_largest_finite_period(self):
+        omega_min = dynamics._OMEGA_MIN
+        assert dynamics._period(omega_min) == 2.0 * math.pi / omega_min <= np.finfo(float).max
+        with pytest.raises(DegenerateModel, match=r"Omega = .*: period 2 pi/Omega overflows"):
+            dynamics._period(math.nextafter(omega_min, 0.0))
+        assert np.isinf(2.0 * math.pi / math.nextafter(omega_min, 0.0))
+
+    def test_zero_keeps_its_message(self):
+        for omega in (0.0, np.array([1.0, 0.0, 1e-320])):
+            with pytest.raises(DegenerateModel, match="^g1 = rddi = 0: period undefined$"):
+                dynamics._period(omega)
+
+    def test_arrays_and_floats(self):
+        assert dynamics._period(1.0) == 2.0 * math.pi
+        np.testing.assert_array_equal(dynamics._period(np.array([1.0, 2.0])), 2.0 * math.pi / np.array([1.0, 2.0]))
+        with np.errstate(all="raise"), pytest.raises(DegenerateModel):
+            dynamics._period(np.array([1.0, 1e-310]))
+
 
 class TestPeakOptimum:
     def test_analytic_point(self):

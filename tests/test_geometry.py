@@ -56,6 +56,28 @@ class TestGeometryConfig:
         with pytest.raises(ParameterError):
             CavityGeometry(g0_mhz=-1.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"g0_mhz": 0.0}, "g0_mhz = 0.0 must be finite and positive"),
+        ({"w0_um": -1.0}, "w0_um = -1.0 must be finite and positive"),
+        ({"lambda_um": math.nan}, "lambda_um = nan must be finite and positive"),
+        ({"gamma_ref_hz": math.inf}, "gamma_ref_hz = inf must be finite and positive"),
+        ({"r_ref": 0}, "r_ref = 0.0 must be finite and positive"),
+        ({"rddi_b": -1.0}, "rddi_b = -1.0 must be finite and non-negative"),
+        ({"rddi_c3": math.nan}, "rddi_c3 = nan must be finite and non-negative"),
+        ({"rddi_a": -2}, "rddi_a = -2.0 must be finite and non-negative"),
+        ({"x2": math.inf}, "x2 = inf must be finite"),
+        ({"x2": np.float64("nan")}, "x2 = np.float64(nan) must be finite"),
+        ({"g0_mhz": 0.0, "x2": math.nan}, "g0_mhz = 0.0 must be finite and positive"),
+        ({"rddi_a": -1.0, "rddi_b": -1.0}, "rddi_b = -1.0 must be finite and non-negative"),
+    ])
+    def test_rejection_messages_and_order(self, fields, message):
+        with pytest.raises(ParameterError) as caught:
+            CavityGeometry(**fields)
+        assert str(caught.value) == message
+
+    def test_accepts_zero_coefficients_and_any_finite_x2(self):
+        CavityGeometry(rddi_a=0.0, rddi_b=0.0, rddi_c3=0.0, x2=-1e300)
+
     def test_rejects_impossible_calibration(self):
         with pytest.raises(ParameterError):
             CavityGeometry(rddi_b=1e9, gamma_ref_hz=1.0).rddi_a_effective
@@ -114,6 +136,17 @@ class TestRddiProfile:
     def test_strictly_decreasing(self):
         values = rddi_at(GEO, np.linspace(0.5, 10.0, 39))
         assert np.all(np.diff(values) < 0.0)
+
+    @pytest.mark.parametrize("geo, r", [
+        (CavityGeometry(g0_mhz=1e-310), 3.0),
+        (CavityGeometry(x2=0.0), 1e-320),
+        (CavityGeometry(x2=0.0), np.array([1.0, 1e-320])),
+    ])
+    def test_overflow_in_g0_units_is_quiet_inf(self, geo, r):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            assert np.isinf(np.max(rddi_at(geo, r)))
+            with pytest.raises(ParameterError, match="^rddi = inf is not finite$"):
+                params_at(geo, np.asarray(r) + geo.x2)
 
     def test_rejects_nonpositive_separation(self):
         with pytest.raises(NonpositiveSeparation):
@@ -294,6 +327,11 @@ class TestNumericPeak:
             numeric_peak_concurrence(ModelParams(g1=0.0))
         with pytest.raises(DegenerateModel):
             numeric_peak_concurrence(ModelParams(g1=np.array([1.0, 0.0, 0.5]), rddi=np.array([0.5, 0.0, 0.0])))
+
+    @pytest.mark.parametrize("g1", [1e-320, np.array([0.5, 1e-320])])
+    def test_overflowing_period_refused_quietly(self, g1):
+        with np.errstate(all="raise"), pytest.raises(DegenerateModel, match="period 2 pi/Omega overflows"):
+            numeric_peak_concurrence(ModelParams(g1=g1))
 
 
 class TestMesh:

@@ -415,6 +415,15 @@ class TestRk4:
         with pytest.raises(InvalidStep):
             rk4_schrodinger(h, psi0, -1.0, 1e-3)
 
+    @pytest.mark.parametrize("t_final, dt", [
+        (1.0, 1e-320), (np.float64(1.0), np.float64(1e-320)), (math.nan, 1e-3), (math.inf, 1e-3), (1.0, math.nan),
+    ])
+    def test_non_finite_step_count(self, t_final, dt):
+        h = h_model(1.0, 0.5)
+        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+        with np.errstate(all="raise"), pytest.raises(InvalidStep, match="t_final / dt = .* is not finite"):
+            rk4_schrodinger(h, psi0, t_final, dt)
+
     def test_norm_drift_is_tiny_but_nonzero_diagnostic(self):
         h = h_model(1.0, 0.5)
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
