@@ -231,7 +231,6 @@ class TestSelftest:
         assert len(lines) == 5
         assert all(line.startswith("PASS ") for line in lines)
 
-
     def test_out_file_gets_the_lines(self, tmp_path):
         target = tmp_path / "selftest.txt"
         code, out, _ = run_cli("selftest", "--out", str(target))
