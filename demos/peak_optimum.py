@@ -19,7 +19,7 @@ heights = np.array([peak_height(g1, gamma) for gamma in gammas])
 gamma_star, c_star = peak_optimum(g1)
 gamma_scan, c_scan = scan_peak_optimum(g1)
 print(f"closed form optimum: Gamma = {gamma_star:.12f}, c_peak = {c_star:.12f}")
-print(f"golden-section scan: Gamma = {gamma_scan:.12f}, c_peak = {c_scan:.12f}")
+print(f"bracket zoom:        Gamma = {gamma_scan:.12f}, c_peak = {c_scan:.12f}")
 print(f"scan vs closed form: dGamma = {abs(gamma_scan - gamma_star):.2e}")
 
 # sanity: the dense curve never beats the claimed optimum

@@ -477,7 +477,7 @@ def _shared_parser() -> argparse.ArgumentParser:
     return shared
 
 
-def build_parser(shared: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+def build_parser(shared: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """The command parser; every subcommand takes the options of ``shared``."""
     parser = argparse.ArgumentParser(
         prog="cavitypair",
@@ -493,9 +493,8 @@ def build_parser(shared: argparse.ArgumentParser | None = None) -> argparse.Argu
         "selftest": cmd_selftest,
         "plot": cmd_plot,
     }
-    parents = [shared if shared is not None else _shared_parser()]
     for name, handler in handlers.items():
-        commands.add_parser(name, parents=parents).set_defaults(handler=handler)
+        commands.add_parser(name, parents=[shared]).set_defaults(handler=handler)
     return parser
 
 

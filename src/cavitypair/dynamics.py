@@ -44,7 +44,9 @@ _PEAK_SHAPE = 3.0 * math.sqrt(3.0) / 4.0
 _AMPLITUDE_MAX = 1.0 / _PEAK_SHAPE
 while _AMPLITUDE_MAX * _PEAK_SHAPE > 1.0:
     _AMPLITUDE_MAX = math.nextafter(_AMPLITUDE_MAX, 0.0)
-# Ratios per zoom round of the optimum search, and its relative stopping width.
+# Ratio bracket Gamma/g1 of the optimum search, ratios per zoom round, and its
+# relative stopping width.
+_SCAN_BRACKET = (1e-9, 10.0)
 _SCAN_POINTS = 129
 _SQRT_EPS = 1.5e-8
 # Points per slice of the concurrence kernel.
@@ -331,21 +333,20 @@ def peak_optimum(g1: float) -> tuple[float, float]:
     return g1 / math.sqrt(2.0), 1.0
 
 
-def scan_peak_optimum(g1: float, lo: float | None = None, hi: float | None = None) -> tuple[float, float]:
+def scan_peak_optimum(g1: float) -> tuple[float, float]:
     """Numerical maximization of the peak concurrence over Gamma, by bracket zoom.
 
-    Searches (0, 10 g1] by default, on r = Gamma/g1 so that any scale works.
+    Searches Gamma/g1 in [1e-9, 10], on the ratio so that any scale works.
     Each round evaluates ``peak_height`` on _SCAN_POINTS equally spaced ratios
     of the bracket at once and keeps the two intervals around the largest,
-    so the bracket shrinks 64-fold per round (5 rounds on the default
-    bracket), down to sqrt(eps) relative, below which a smooth maximum cannot
-    be located.  Independent of ``peak_optimum``; used as its numerical
-    cross-check (agreement to 1e-6 is asserted by the tests).
+    so the bracket shrinks 64-fold per round (5 rounds), down to sqrt(eps)
+    relative, below which a smooth maximum cannot be located.  Independent
+    of ``peak_optimum``; used as its numerical cross-check (agreement to
+    1e-6 is asserted by the tests).
     """
     if g1 <= 0.0:
         raise ParameterError(f"g1 = {g1!r} must be positive")
-    a = 1e-9 if lo is None else lo / g1
-    b = 10.0 if hi is None else hi / g1
+    a, b = _SCAN_BRACKET
     fraction = np.linspace(0.0, 1.0, _SCAN_POINTS)
     while True:
         r = a + (b - a) * fraction

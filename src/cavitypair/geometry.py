@@ -28,13 +28,16 @@ from .qmath import hermitian_eigendecompose
 
 HZ_PER_MHZ = 1e6
 # Numeric peak search: coarse-grid intervals per period at least, largest W h
-# (W the spectral width), points evaluated per slice (bounds memory at any
-# W/Omega), points per bracket in the first zoom round (it runs on every
-# coarse candidate, so few points keep it cheap) and in later rounds (on the
-# few survivors, where more points per round mean fewer rounds), and the
-# W * bracket width at which the zoom stops (C is then exact to about eps).
+# (W the spectral width), most coarse samples of one call (bounds the run time
+# and the per-block index arrays at any W/Omega), points evaluated per slice
+# (bounds the kernel's memory), points per bracket in the first zoom round (it
+# runs on every coarse candidate, so few points keep it cheap) and in later
+# rounds (on the few survivors, where more points per round mean fewer rounds),
+# and the W * bracket width at which the zoom stops (C is then exact to about
+# eps).
 _COARSE_INTERVALS = 64
 _COARSE_WH = 0.2
+_COARSE_SAMPLES_MAX = 2**27
 _SLICE_POINTS = 2**18
 _ZOOM_POINTS = 9
 _ZOOM_POINTS_LATER = 17
@@ -130,14 +133,18 @@ def coupling_at(geo: CavityGeometry, x1):
     """Coupling g(x1)/g0 at axial position x1 (waist units).
 
     Gaussian envelope exp(-x1^2), times the standing-wave factor when the
-    flag is on.  Accepts scalar or array x1.
+    flag is on.  Accepts scalar or array x1.  Wherever exp(-x1^2) underflows
+    (|x1| above about 27.3) the coupling is exactly 0.0, with no warning.
     """
     x1 = np.asarray(x1, dtype=float)
     if not np.all(np.isfinite(x1)):
         raise ParameterError("x1 must be finite")
-    value = np.exp(-np.square(x1))
+    # Clipping at |x1| = 28 (x1^2 = 784 > 745) changes no value and keeps x1^2 finite;
+    # where exp(-x1^2) is 0 the phase is taken at x1 = 0, so the coupling is exactly 0.0.
+    value = np.exp(-np.square(np.clip(x1, -28.0, 28.0)))
     if geo.standing_wave:
-        value = value * np.cos(2.0 * math.pi * x1 * float(geo.w0_um) / float(geo.lambda_um))
+        phase_x1 = np.where(value > 0.0, x1, 0.0)
+        value = value * np.cos(2.0 * math.pi * phase_x1 * float(geo.w0_um) / float(geo.lambda_um))
     return float(value) if value.ndim == 0 else value
 
 
@@ -247,8 +254,11 @@ def numeric_peak_concurrence(params: ModelParams):
     close to its row's grid maximum as a bracket, and each bracket is zoomed
     in on (Brent 1973, ch. 5) until W times its width is below 5e-8.  The
     result is an attained value, exact to about eps relative and never above
-    the true maximum.  Work runs in slices of at most 2^18 points, so memory
-    stays bounded at any W/Omega.
+    the true maximum.  Work runs in slices of at most 2^18 points, and one
+    call takes at most 2^27 coarse samples in all (n + 1 per model, n the
+    larger of 64 and period W/0.2); a larger search raises ParameterError
+    before the coarse grid is built, so memory and run time stay bounded at
+    any W/Omega.
     """
     period = _period(np.hypot(params.g1, params.rddi))
     hamiltonians = build_single_excitation_h(params)
@@ -267,7 +277,13 @@ def numeric_peak_concurrence(params: ModelParams):
     # Coarse grid t = j h, j = 0..n, in blocks of `block` times (a row's last
     # block padded with j = n), a slice of blocks at a time; candidates are
     # kept against the running row maxima, which only ever loosens the cut.
-    n = np.ceil(np.maximum(_COARSE_INTERVALS, period * width / _COARSE_WH)).astype(int)
+    with np.errstate(over="ignore"):  # a count that overflows to inf is refused below
+        n = np.ceil(np.maximum(_COARSE_INTERVALS, period * width / _COARSE_WH))
+        samples = np.sum(n + 1.0)
+    if samples > _COARSE_SAMPLES_MAX:
+        raise ParameterError(f"numeric peak search needs {samples:.3g} coarse samples, "
+                             f"more than the {_COARSE_SAMPLES_MAX} of one call")
+    n = n.astype(int)
     h = period / n
     slack = curvature * (width * h) ** 2
     block = _COARSE_INTERVALS + 1
@@ -290,7 +306,7 @@ def numeric_peak_concurrence(params: ModelParams):
         rows, centre, level = rows[keep], centre[keep], level[keep]
 
     lo = np.maximum(centre - 0.5 * h[rows], 0.0)
-    hi = np.minimum(centre + 0.5 * h[rows], period[rows])
+    hi = centre + np.minimum(0.5 * h[rows], period[rows] - centre)  # centre + h/2 may overflow
     step = _SLICE_POINTS // _ZOOM_POINTS_LATER
     for s in range(0, rows.size, step):
         _zoom(weights, rows[s:s + step], lo[s:s + step], hi[s:s + step], best, curvature, width)

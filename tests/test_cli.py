@@ -8,6 +8,7 @@ import pytest
 
 from cavitypair import CavityGeometry, InitialState, concurrence_series, params_at, sweep_position
 from cavitypair.cli import _merge_config, _shared_parser, build_parser, main
+from cavitypair.svgplot import raster_plot
 
 OMEGA = 1.118033988749895
 C_PEAK_AT_MINUS_2 = 0.0354526304721042
@@ -256,6 +257,11 @@ class TestPlot:
         assert code == 0
         assert out.count("<rect") > 25
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_raster_refuses_a_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="raster_plot expects a non-empty finite 2-d matrix"):
+            raster_plot([[0.5, bad]], (0.0, 1.0), (0.0, 1.0), "t", "x1", "mesh")
+
     def test_format_mismatch(self):
         code, _, err = run_cli("plot", "--g1", "1", "--format", "csv")
         assert code == 2
@@ -419,6 +425,10 @@ class TestDomainEdges:
         (("evolve", "--x2", "0", "--x1", "1e-320", "--t-steps", "2"), 2),
         (("peaks", "--g1", "-1", "--rddi", "0.5"), 0),
         (("peaks", "--g1", "-1", "--scan-rddi", "0:1:3"), 0),
+        (("evolve", "--x1", "1e200", "--t-steps", "2"), 0),
+        (("evolve", "--x1", "1e308", "--t-steps", "2", "--standing-wave"), 2),
+        (("sweep", "--numeric-peaks", "--gamma-ref-hz", "1e-300", "--x1-min", "26.6", "--x1-max", "26.7",
+          "--x1-steps", "1"), 2),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         with warnings.catch_warnings(record=True) as caught:

@@ -404,6 +404,28 @@ def test_peak_analytics_scale_free(scale):
     assert abs(c_max - 1.0) <= 1e-6
 
 
+def test_peak_amplitude_matches_a_200_bit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(16)
+    n = 2000
+    signs = rng.choice((-1.0, 1.0), size=(3, n))
+    g1 = signs[0] * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    ratio_g1 = 10.0 ** rng.uniform(-297.0, 297.0, n)
+    g1 = np.concatenate([g1, signs[1] * ratio_g1])
+    rddi = np.concatenate([signs[2] * 10.0 ** rng.uniform(-300.0, 300.0, n),
+                           signs[2] * ratio_g1 * 10.0 ** rng.uniform(-3.0, 3.0, n)])
+    got = dynamics.peak_amplitude(g1, rddi)
+    with mpmath.workprec(200):
+        exact = []
+        for a, b in zip(np.abs(g1).tolist(), np.abs(rddi).tolist()):
+            a, b = mpmath.mpf(a), mpmath.mpf(b)
+            exact.append(float(2 * a * a * b / mpmath.sqrt(a * a + b * b) ** 3))
+    exact = np.array(exact)
+    normal = exact >= np.finfo(float).tiny
+    assert normal.sum() > n  # every ratio point and some of the independent couplings
+    assert np.max(np.abs(got[normal] - exact[normal]) / exact[normal]) <= 1e-15
+
+
 SIGN = st.sampled_from((-1.0, 1.0))
 SIGNED_LOG_COUPLING = st.tuples(st.floats(min_value=-300.0, max_value=300.0), SIGN).map(
     lambda p: p[1] * 10.0 ** p[0])

@@ -120,6 +120,15 @@ class TestCouplingProfile:
         node = geo.lambda_um / (4.0 * geo.w0_um)
         assert abs(coupling_at(geo, node)) <= 1e-15
 
+    @pytest.mark.parametrize("geo", [GEO, CavityGeometry(standing_wave=True)], ids=["envelope", "standing-wave"])
+    def test_far_positions_couple_with_exactly_zero_quietly(self, geo):
+        far = np.array([-1e308, -1e200, -28.0, 27.3, 29.0, 1e154, 1e308])
+        with np.errstate(over="raise", invalid="raise"):
+            values = coupling_at(geo, far)
+            scalar = coupling_at(geo, 1e200)
+        assert values.tolist() == [0.0] * far.size and not np.any(np.signbit(values))
+        assert scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
+
 
 class TestRddiProfile:
     def test_calibration_identity(self):
@@ -333,6 +342,27 @@ class TestNumericPeak:
         with np.errstate(all="raise"), pytest.raises(DegenerateModel, match="period 2 pi/Omega overflows"):
             numeric_peak_concurrence(ModelParams(g1=g1))
 
+    def test_period_near_the_overflow_limit_is_quiet(self):
+        g1 = 3.5e-308  # Omega within 2x of the smallest with a finite period
+        with np.errstate(over="raise", invalid="raise"):
+            assert numeric_peak_concurrence(ModelParams(g1=g1)) == 0.0
+            value = numeric_peak_concurrence(ModelParams(g1=g1, rddi=g1 / 2))
+        assert abs(value - peak_height(g1, g1 / 2)) <= 1e-14 * peak_height(g1, g1 / 2)
+
+    def test_coarse_samples_beyond_the_cap_refused_quietly(self):
+        wide = params_at(CavityGeometry(x2=-0.5, gamma_ref_hz=1e-3), 4.0)
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(
+                ParameterError, match=r"needs 4.35e\+08 coarse samples, more than the 134217728 of one call"):
+            numeric_peak_concurrence(wide)
+
+    def test_cap_counts_n_plus_one_samples_per_model(self, monkeypatch):
+        p = ModelParams(g1=np.array([1.0, 1.0]), rddi=np.array([0.5, 0.5]))  # n = 64 each
+        monkeypatch.setattr(geometry, "_COARSE_SAMPLES_MAX", 130)
+        np.testing.assert_allclose(numeric_peak_concurrence(p), peak_height(1.0, 0.5), rtol=1e-14)
+        monkeypatch.setattr(geometry, "_COARSE_SAMPLES_MAX", 129)
+        with pytest.raises(ParameterError, match="needs 130 coarse samples"):
+            numeric_peak_concurrence(p)
+
 
 class TestMesh:
     def test_first_column_zero(self):
@@ -353,6 +383,25 @@ class TestMesh:
             t_grid = np.linspace(0.0, sweep.period[i], 10_001)
             row = mesh(GEO, np.array([x1]), t_grid)[0]
             assert abs(row.max() - sweep.c_peak[i]) / sweep.c_peak[i] <= 1e-6
+
+    @pytest.mark.parametrize("geo, bound", [(GEO, 1e-16), (NEAR_WAIST, 3e-13)], ids=["default", "x2=-0.5"])
+    def test_cells_match_a_50_digit_reference(self, geo, bound):
+        mpmath = pytest.importorskip("mpmath")
+        x1_grid = np.linspace(-2.0, 2.0, 101)  # the CLI's default mesh
+        p = params_at(geo, x1_grid)
+        t_grid = np.linspace(0.0, 2.0 * math.pi / np.min(np.hypot(p.g1, p.rddi)), 200)
+        values = mesh(geo, x1_grid, t_grid)
+        rng = np.random.default_rng(16)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for i in rng.choice(x1_grid.size, 6, replace=False):
+                g1, g2, rddi = (mpmath.mpf(float(v)) for v in (p.g1[i], p.g2, p.rddi[i]))
+                energies, vectors = mpmath.eigsy(mpmath.matrix([[0, g1, g2], [g1, 0, rddi], [g2, rddi, 0]]))
+                for k in rng.choice(t_grid.size, 6, replace=False):
+                    b, c = (abs(mpmath.fsum(vectors[r, j] * vectors[0, j] * mpmath.expj(-energies[j] * t_grid[k])
+                                            for j in range(3))) for r in (1, 2))
+                    worst = max(worst, abs(values[i, k] - float(2 * b * c)))
+        assert worst <= bound
 
     def test_rejects_empty_grids(self):
         with pytest.raises(ParameterError):
