@@ -23,6 +23,7 @@ from .dynamics import (
     _atom_weights,
     _concurrence,
     _model_decomposition,
+    _period,
     concurrence_series,
     evolve,
     peak_report,
@@ -161,9 +162,10 @@ def _time_grid(cfg: dict, omega: float, default_steps: int = DEFAULT_T_STEPS) ->
         raise ParameterError(f"t_steps = {steps} must be >= 1")
     t_max = cfg.get("t_max")
     if t_max is None:
-        if omega == 0.0:
-            raise DegenerateModel("Omega = 0: no default period, pass --t-max")
-        t_max = 2.0 * math.pi / omega
+        try:
+            t_max = _period(omega)
+        except DegenerateModel as exc:
+            raise DegenerateModel(f"{exc}; pass --t-max") from exc
     if not (math.isfinite(t_max) and t_max >= 0.0):
         raise ParameterError(f"t_max = {t_max!r} must be finite and non-negative")
     if steps > 1 and t_max == 0.0:
@@ -386,8 +388,7 @@ def _selftest_checks():
     def peak_placement():
         for g1, rddi in rng.uniform(0.1, 1.0, size=(5, 2)):
             params = ModelParams(g1=g1, rddi=rddi)
-            omega = params.omega
-            period = 2.0 * math.pi / omega
+            period = _period(params.omega)
             grid = np.linspace(0.0, 3.0 * period, 3 * 10_000 + 1)
             series = concurrence_series(params, InitialState(), grid)
             step = grid[1] - grid[0]

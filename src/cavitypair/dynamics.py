@@ -269,15 +269,21 @@ def closed_form_concurrence(g1: float, rddi: float, t):
 
 
 def peak_times(g1: float, rddi: float, m_max: int = 1) -> np.ndarray:
-    """Times (3m +/- 1) pi / (3 Omega) of the concurrence maxima, m = 1, 3, ... m_max."""
+    """Times (3m +/- 1) pi / (3 Omega) of the concurrence maxima, m = 1, 3, ... m_max.
+
+    Each time is (3m +/- 1)/6 of the period 2 pi/Omega.  Raises
+    ParameterError for a non-finite coupling, and DegenerateModel, with no
+    warning, when Omega = 0 or the period or a peak time overflows.
+    """
     if m_max < 1 or m_max % 2 == 0:
         raise ParameterError(f"m_max = {m_max!r} must be an odd integer >= 1")
-    omega = math.hypot(g1, rddi)
-    if omega == 0.0:
-        raise DegenerateModel("g1 = rddi = 0: Omega = 0")
+    period = _period(ModelParams(g1=g1, rddi=rddi).omega)
     ms = np.arange(1, m_max + 1, 2, dtype=float)
-    times = np.concatenate([(3.0 * ms - 1.0), (3.0 * ms + 1.0)]) * math.pi / (3.0 * omega)
-    return np.sort(times)
+    with np.errstate(over="ignore"):  # an overflowing time is refused below
+        times = np.sort(np.concatenate([3.0 * ms - 1.0, 3.0 * ms + 1.0]) / 6.0 * period)
+    if np.isinf(times[-1]):
+        raise DegenerateModel(f"peak time {3 * m_max + 1}/6 x period {period!r} overflows")
+    return times
 
 
 def _period(omega):

@@ -29,18 +29,14 @@ from .qmath import hermitian_eigendecompose
 HZ_PER_MHZ = 1e6
 # Numeric peak search: coarse-grid intervals per period at least, largest W h
 # (W the spectral width), most coarse samples of one call (bounds the run time
-# and the per-block index arrays at any W/Omega), points evaluated per slice
-# (bounds the kernel's memory), points per bracket in the first zoom round (it
-# runs on every coarse candidate, so few points keep it cheap) and in later
-# rounds (on the few survivors, where more points per round mean fewer rounds),
-# and the W * bracket width at which the zoom stops (C is then exact to about
-# eps).
+# and the coarse block list at any W/Omega), points evaluated per slice (bounds
+# the kernel's memory), the factor by which each round refines a kept cell, and
+# the W * cell width at which refinement stops (C is then exact to about eps).
 _COARSE_INTERVALS = 64
 _COARSE_WH = 0.2
 _COARSE_SAMPLES_MAX = 2**27
 _SLICE_POINTS = 2**18
-_ZOOM_POINTS = 9
-_ZOOM_POINTS_LATER = 17
+_REFINE_POINTS = 8
 _ZOOM_STOP = 5e-8
 # CavityGeometry fields checked on construction, in order, with the sign each
 # needs (None: any finite value, and the message shows the value as given).
@@ -134,7 +130,8 @@ def coupling_at(geo: CavityGeometry, x1):
 
     Gaussian envelope exp(-x1^2), times the standing-wave factor when the
     flag is on.  Accepts scalar or array x1.  Wherever exp(-x1^2) underflows
-    (|x1| above about 27.3) the coupling is exactly 0.0, with no warning.
+    (|x1| above about 27.3) the coupling is exactly 0.0, with no warning.  A
+    standing-wave phase 2 pi x1 w0/lambda that overflows raises ParameterError.
     """
     x1 = np.asarray(x1, dtype=float)
     if not np.all(np.isfinite(x1)):
@@ -143,8 +140,11 @@ def coupling_at(geo: CavityGeometry, x1):
     # where exp(-x1^2) is 0 the phase is taken at x1 = 0, so the coupling is exactly 0.0.
     value = np.exp(-np.square(np.clip(x1, -28.0, 28.0)))
     if geo.standing_wave:
-        phase_x1 = np.where(value > 0.0, x1, 0.0)
-        value = value * np.cos(2.0 * math.pi * phase_x1 * float(geo.w0_um) / float(geo.lambda_um))
+        with np.errstate(over="ignore"):  # a phase that overflows is refused below
+            phase = 2.0 * math.pi * np.where(value > 0.0, x1, 0.0) * float(geo.w0_um) / float(geo.lambda_um)
+        if not np.all(np.isfinite(phase)):
+            raise ParameterError("standing-wave phase 2 pi x1 w0/lambda overflows")
+        value = value * np.cos(phase)
     return float(value) if value.ndim == 0 else value
 
 
@@ -203,38 +203,6 @@ class SweepResult:
     c_peak_numeric: np.ndarray | None = None
 
 
-def _rows(weights, rows: np.ndarray):
-    """Kernel weights of the stack members ``rows``."""
-    return tuple(w[rows] for w in weights)
-
-
-def _zoom(weights, rows, lo, hi, best, curvature, width) -> None:
-    """Raise best[rows] to the maximum of C inside each bracket [lo, hi] of model rows.
-
-    Each round samples _ZOOM_POINTS times per bracket (_ZOOM_POINTS_LATER
-    after the first round) and keeps the two intervals around the largest
-    sample; a bracket whose largest C^2 is more than curvature * (width *
-    spacing)^2 below its row's best (curvature in units of width^2) cannot
-    hold the maximum and is dropped, and one narrower than _ZOOM_STOP/width
-    is done.
-    """
-    fraction, later = (np.linspace(0.0, 1.0, n) for n in (_ZOOM_POINTS, _ZOOM_POINTS_LATER))
-    while rows.size:
-        last = fraction.size - 1
-        t = lo[:, None] + (hi - lo)[:, None] * fraction
-        values = _concurrence(_rows(weights, rows), t)
-        k = np.argmax(values, axis=1)
-        index = np.arange(rows.size)
-        top = values[index, k]
-        np.maximum.at(best, rows, top)
-        live = top**2 >= best[rows] ** 2 - curvature[rows] * (width[rows] * (hi - lo) / last) ** 2
-        lo = t[index, np.maximum(k - 1, 0)]
-        hi = t[index, np.minimum(k + 1, last)]
-        live &= width[rows] * (hi - lo) > _ZOOM_STOP
-        rows, lo, hi = rows[live], lo[live], hi[live]
-        fraction = later
-
-
 def numeric_peak_concurrence(params: ModelParams):
     """Maximum of the propagated concurrence over t in [0, 2 pi/Omega], g2 kept.
 
@@ -247,18 +215,21 @@ def numeric_peak_concurrence(params: ModelParams):
     g = b conj(c) = sum_jk a_jk exp(-i (E_j - E_k) t), a_jk = V_1j V_0j V_2k V_0k
     (conjugates dropped), so with m_p = sum_jk |a_jk| |E_j - E_k|^p the
     curvature obeys |d^2 C^2/dt^2| <= 8 (m_0 m_2 + m_1^2), a term-by-term
-    sharpening of Bernstein's inequality.  On any grid of spacing d the
-    maximum therefore lies within d/2 of a sample whose C^2 is at most
-    (m_0 m_2 + m_1^2) d^2 below it.  A coarse grid with
-    d <= min(period/64, 0.2/W), W = E_max - E_min, keeps every sample that
-    close to its row's grid maximum as a bracket, and each bracket is zoomed
-    in on (Brent 1973, ch. 5) until W times its width is below 5e-8.  The
-    result is an attained value, exact to about eps relative and never above
-    the true maximum.  Work runs in slices of at most 2^18 points, and one
-    call takes at most 2^27 coarse samples in all (n + 1 per model, n the
-    larger of 64 and period W/0.2); a larger search raises ParameterError
-    before the coarse grid is built, so memory and run time stay bounded at
-    any W/Omega.
+    sharpening of Bernstein's inequality.  A maximum inside a cell of width d
+    thus exceeds the C^2 at the cell's centre by at most the slack
+    (m_0 m_2 + m_1^2) d^2.  The search is a uniform-grid branch-and-bound
+    (after Piyavskii 1972 and Shubert 1972, with this curvature bound for
+    their Lipschitz constant).  Round 0 samples t = j h, j = 0..n, n the
+    larger of 64 and period W/0.2 (W = E_max - E_min), each sample the
+    centre of a cell of width h.  Each round keeps every cell whose C^2 plus
+    the slack exceeds its row's best C^2 (strictly, so a row with C = 0
+    throughout stops at round 0) and splits it into 8 cells sampled at their
+    centres, until W d <= 5e-8.  The result is an attained value, exact to
+    about eps relative and never above the true maximum.  Work runs in
+    slices of at most 2^18 points, and one call takes at most 2^27 coarse
+    samples in all (n + 1 per model); a larger search raises ParameterError
+    before any sample is taken, so memory and run time stay bounded at any
+    W/Omega.
     """
     period = _period(np.hypot(params.g1, params.rddi))
     hamiltonians = build_single_excitation_h(params)
@@ -272,44 +243,46 @@ def numeric_peak_concurrence(params: ModelParams):
     a = weight[:, 1, :, None] * weight[:, 2, None, :]
     gap = np.abs(energies[:, :, None] - energies[:, None, :]) / width[:, None, None]  # in [0, 1]
     m0, m1, m2 = (np.sum(a * gap**p, axis=(1, 2)) for p in range(3))
-    curvature = m0 * m2 + m1**2  # in units of W^2, so no power of a gap overflows
+    # C <= 2 m0, so C/m0 and the curvature (m0 m2 + m1^2)/m0^2 (in units of W^2)
+    # neither overflow nor underflow; m0 = 0 only where C = 0.
+    scale = np.where(m0 > 0.0, m0, 1.0)
+    curvature = m2 / scale + (m1 / scale) ** 2
 
-    # Coarse grid t = j h, j = 0..n, in blocks of `block` times (a row's last
-    # block padded with j = n), a slice of blocks at a time; candidates are
-    # kept against the running row maxima, which only ever loosens the cut.
     with np.errstate(over="ignore"):  # a count that overflows to inf is refused below
         n = np.ceil(np.maximum(_COARSE_INTERVALS, period * width / _COARSE_WH))
         samples = np.sum(n + 1.0)
     if samples > _COARSE_SAMPLES_MAX:
         raise ParameterError(f"numeric peak search needs {samples:.3g} coarse samples, "
                              f"more than the {_COARSE_SAMPLES_MAX} of one call")
-    n = n.astype(int)
-    h = period / n
-    slack = curvature * (width * h) ** 2
+    # A sample is (row, u) at t = u d, d = h/8^r the cell width of round r, so
+    # the window [0, n h] is u in [0, n 8^r] and every u is exact.  Round 0 runs
+    # each row's grid in blocks of `block` samples (the last padded past j = n);
+    # a cell centred at u splits into cells centred at u' = 8u - 3.5 + k, k < 8.
     block = _COARSE_INTERVALS + 1
-    blocks = n // block + 1
-    owner = np.repeat(np.arange(n.size), blocks)
-    offset = (np.arange(owner.size) - np.repeat(np.cumsum(blocks) - blocks, blocks)) * block
+    rows = np.repeat(np.arange(n.size), n.astype(int) // block + 1)
+    first, points = block * (np.arange(rows.size) - np.searchsorted(rows, rows)), np.arange(block)
     best = np.zeros(n.size)
-    rows, centre, level = np.empty(0, dtype=int), np.empty(0), np.empty(0)
-    step = _SLICE_POINTS // block
-    for s in range(0, owner.size, step):
-        sub = owner[s:s + step]
-        j = offset[s:s + step, None] + np.arange(block)
-        t = np.minimum(j, n[sub, None]) * h[sub, None]
-        values = _concurrence(_rows(weights, sub), t)
-        np.maximum.at(best, sub, values.max(axis=1))
-        i, k = np.nonzero(j <= n[sub, None])
-        rows, centre, level = (np.concatenate([old, new]) for old, new in
-                               ((rows, sub[i]), (centre, t[i, k]), (level, values[i, k])))
-        keep = level**2 >= (best**2 - slack)[rows]
-        rows, centre, level = rows[keep], centre[keep], level[keep]
-
-    lo = np.maximum(centre - 0.5 * h[rows], 0.0)
-    hi = centre + np.minimum(0.5 * h[rows], period[rows] - centre)  # centre + h/2 may overflow
-    step = _SLICE_POINTS // _ZOOM_POINTS_LATER
-    for s in range(0, rows.size, step):
-        _zoom(weights, rows[s:s + step], lo[s:s + step], hi[s:s + step], best, curvature, width)
+    d, limit = period / n, n
+    while rows.size:
+        slack, refine = curvature * (width * d) ** 2, width * d > _ZOOM_STOP
+        found = []
+        step = _SLICE_POINTS // points.size
+        for s in range(0, rows.size, step):
+            sub = rows[s:s + step]
+            u = first[s:s + step, None] + points
+            t = np.clip(u, 0.0, limit[sub, None]) * d[sub, None]  # padding and outside cells repeat an end
+            values = _concurrence(tuple(w[sub] for w in weights), t)
+            np.maximum.at(best, sub, values.max(axis=1))
+            # Kept: a cell inside the window whose C^2 plus the slack beats its
+            # row's best so far (strictly, so C = 0 rows stop), while W d > _ZOOM_STOP.
+            top = best[sub] / scale[sub]
+            live = (values / scale[sub, None]) ** 2 + slack[sub, None] > top[:, None] ** 2
+            live &= (u >= 0.0) & (u <= limit[sub, None]) & refine[sub, None]
+            i, k = np.nonzero(live)
+            found.append((sub[i], u[i, k]))
+        rows, u = (np.concatenate(part) for part in zip(*found))
+        first, points = _REFINE_POINTS * u - (_REFINE_POINTS - 1) / 2, np.arange(_REFINE_POINTS)
+        d, limit = d / _REFINE_POINTS, limit * _REFINE_POINTS
     best = best.reshape(shape)
     return float(best) if best.ndim == 0 else best
 

@@ -429,6 +429,8 @@ class TestDomainEdges:
         (("evolve", "--x1", "1e308", "--t-steps", "2", "--standing-wave"), 2),
         (("sweep", "--numeric-peaks", "--gamma-ref-hz", "1e-300", "--x1-min", "26.6", "--x1-max", "26.7",
           "--x1-steps", "1"), 2),
+        (("evolve", "--standing-wave", "--lambda-um", "1e-300", "--w0-um", "1e10", "--x1", "1", "--t-steps", "2"), 2),
+        (("evolve", "--g1", "1e-320"), 2),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         with warnings.catch_warnings(record=True) as caught:
@@ -448,6 +450,15 @@ class TestDomainEdges:
         assert err == "error: UnnormalizedState: |psi| = inf deviates from 1 beyond 1e-10\n"
         _, _, err = run_cli("evolve", "--g1", "1e10", "--t-max", "1e308", "--t-steps", "3")
         assert err == "error: ParameterError: phase max|E| max|t| = inf is not finite\n"
+        _, _, err = run_cli("evolve", "--standing-wave", "--lambda-um", "1e-300", "--w0-um", "1e10", "--x1", "1")
+        assert err == "error: ParameterError: standing-wave phase 2 pi x1 w0/lambda overflows\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "plot"])
+    def test_default_period_messages(self, command):
+        _, _, err = run_cli(command, "--g1", "1e-320")
+        assert err == "error: DegenerateModel: Omega = 1e-320: period 2 pi/Omega overflows; pass --t-max\n"
+        _, _, err = run_cli(command, "--g1", "0", "--rddi", "0")
+        assert err == "error: DegenerateModel: g1 = rddi = 0: period undefined; pass --t-max\n"
 
     @pytest.mark.parametrize("g1, rddi", [(-1.0, -0.5), (0.0, 1.0), (1.0, -0.5), (-0.3, 0.7)])
     def test_spectrum_analytic_columns_share_the_numeric_gauge(self, g1, rddi):

@@ -12,6 +12,7 @@ from cavitypair import (
     DimensionMismatch,
     InitialState,
     ModelParams,
+    ParameterError,
     TimeSeries,
     UnnormalizedState,
     analytic_spectrum,
@@ -250,6 +251,23 @@ class TestPeakTimes:
     def test_degenerate(self):
         with pytest.raises(DegenerateModel):
             peak_times(0.0, 0.0)
+
+    @pytest.mark.parametrize("g1, rddi", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.0), (1.0, -math.inf)])
+    def test_rejects_non_finite_couplings(self, g1, rddi):
+        with pytest.raises(ParameterError, match="is not finite"):
+            peak_times(g1, rddi)
+
+    @pytest.mark.parametrize("g1, m_max, message", [
+        (1e-320, 1, "^Omega = 1e-320: period 2 pi/Omega overflows$"),
+        (3.5e-308, 3, r"^peak time 10/6 x period 1.795\d+e\+308 overflows$"),
+    ])
+    def test_overflowing_time_refused_quietly(self, g1, m_max, message):
+        with np.errstate(all="raise"), pytest.raises(DegenerateModel, match=message):
+            peak_times(g1, 0.0, m_max=m_max)
+
+    def test_times_below_the_overflow_limit(self):
+        times = peak_times(3.5e-308, 0.0)
+        np.testing.assert_allclose(times, np.array([2.0, 4.0]) * math.pi / (3.0 * 3.5e-308), rtol=1e-15)
 
 
 class TestPeakReport:

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavitypair import geometry
+from cavitypair import dynamics, geometry
 from cavitypair import (
     CavityGeometry,
     CoincidentAtoms,
@@ -128,6 +128,14 @@ class TestCouplingProfile:
             scalar = coupling_at(geo, 1e200)
         assert values.tolist() == [0.0] * far.size and not np.any(np.signbit(values))
         assert scalar == 0.0 and math.copysign(1.0, scalar) == 1.0
+
+    def test_overflowing_standing_wave_phase_refused_quietly(self):
+        geo = CavityGeometry(standing_wave=True, lambda_um=1e-300, w0_um=1e10)
+        with np.errstate(all="raise"), pytest.raises(
+                ParameterError, match="^standing-wave phase 2 pi x1 w0/lambda overflows$"):
+            coupling_at(geo, np.array([0.0, 1.0]))
+        with np.errstate(over="raise", invalid="raise"):
+            assert coupling_at(geo, 30.0) == 0.0  # no phase is taken where the envelope is 0
 
 
 class TestRddiProfile:
@@ -354,6 +362,36 @@ class TestNumericPeak:
         with np.errstate(over="raise", invalid="raise"), pytest.raises(
                 ParameterError, match=r"needs 4.35e\+08 coarse samples, more than the 134217728 of one call"):
             numeric_peak_concurrence(wide)
+
+    def test_zero_concurrence_stops_at_the_coarse_grid(self, monkeypatch):
+        # g2 = Gamma = 0: atom 2 never gets excited, every sample ties at C = 0
+        kernel, points = geometry._concurrence, []
+
+        def counted(weights, t):
+            points.append(np.size(t))
+            return kernel(weights, t)
+
+        monkeypatch.setattr(geometry, "_concurrence", counted)
+        assert numeric_peak_concurrence(ModelParams(g1=np.ones(4))).tolist() == [0.0] * 4
+        assert points == [4 * 65]
+
+    @pytest.mark.parametrize("ratio", [1e-78, 1e-85, 1e-140])
+    def test_tiny_concurrence_is_refined(self, ratio):
+        # C ~ 2 ratio^2, so C^2 underflows: the search must not compare squares of C
+        want = peak_height(ratio, 1.0)
+        assert abs(numeric_peak_concurrence(ModelParams(g1=ratio, rddi=1.0)) - want) <= 1e-15 * want
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
+           st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
+    def test_with_g2_between_the_sampled_maximum_and_one(self, exponents, signs):
+        g1, g2, rddi = (sign * 10.0**e for sign, e in zip(signs, exponents))
+        assume(abs(g2) <= 1e3 * math.hypot(g1, rddi))  # at most ~6e4 coarse samples
+        params = ModelParams(g1=g1, g2=g2, rddi=rddi)
+        value = numeric_peak_concurrence(params)
+        t = np.linspace(0.0, dynamics._period(params.omega), 2048)
+        assert value <= 1.0
+        assert value >= (1.0 - 1e-12) * dynamics._model_concurrence(params, InitialState(), t).max()
 
     def test_cap_counts_n_plus_one_samples_per_model(self, monkeypatch):
         p = ModelParams(g1=np.array([1.0, 1.0]), rddi=np.array([0.5, 0.5]))  # n = 64 each
