@@ -44,6 +44,7 @@ from .dynamics import (
     closed_form_concurrence,
     concurrence_series,
     evolve,
+    numeric_peak_concurrence,
     peak_height,
     peak_optimum,
     peak_report,
@@ -57,7 +58,6 @@ from .geometry import (
     SweepResult,
     coupling_at,
     mesh,
-    numeric_peak_concurrence,
     params_at,
     rddi_at,
     sweep_position,

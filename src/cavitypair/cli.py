@@ -20,9 +20,7 @@ import numpy as np
 
 from .dynamics import (
     InitialState,
-    _atom_weights,
-    _concurrence,
-    _model_decomposition,
+    _model_concurrence,
     _period,
     concurrence_series,
     evolve,
@@ -182,6 +180,10 @@ def _mesh(cfg: dict):
 
 
 def _x1_grid(cfg: dict) -> np.ndarray:
+    """Atom-1 positions of a grid command, which refuses model input it would otherwise ignore."""
+    model = sorted((DIRECT_KEYS | {"x1"}) & cfg.keys())
+    if model:
+        raise ParameterError(f"grid commands take atom 1 from --x1-min/--x1-max/--x1-steps, not {', '.join(model)}")
     lo = cfg.get("x1_min", DEFAULT_X1_MIN)
     hi = cfg.get("x1_max", DEFAULT_X1_MAX)
     steps = cfg.get("x1_steps", DEFAULT_X1_STEPS)
@@ -266,11 +268,10 @@ def cmd_evolve(cfg: dict) -> int:
     _require_format(cfg, "csv", "evolve")
     params = _model_params(cfg)
     grid = _time_grid(cfg, params.omega)
-    psi0 = _initial_state(cfg).vector()
-    decomp = _model_decomposition(params)
-    psi = evolve_spectral(decomp, psi0, grid)
+    init = _initial_state(cfg)
+    psi = evolve(params, init, grid)
     norms = np.linalg.norm(psi, axis=1)
-    concurrence = _concurrence(_atom_weights(decomp, psi0), grid)
+    concurrence = _model_concurrence(params, init, grid)
     header = ("t", "photon_re", "photon_im", "atom1_re", "atom1_im",
               "atom2_re", "atom2_im", "norm", "concurrence")
     parts = [part for amplitude in psi.T for part in (amplitude.real, amplitude.imag)]
@@ -403,9 +404,8 @@ def _selftest_checks():
     def effective_model():
         params = ModelParams(g1=1.0, rddi=0.3)
         grid = np.linspace(0.0, 100.0, 2001)
-        psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-        decomp = hermitian_eigendecompose(build_effective_h(params))
-        if np.max(_concurrence(_atom_weights(decomp, psi0), grid)) > 1e-12:
+        psi = evolve_spectral(hermitian_eigendecompose(build_effective_h(params)), InitialState().vector(), grid)
+        if np.max(2.0 * np.abs(psi[:, 1] * psi[:, 2])) > 1e-12:
             return False
         full = concurrence_series(params, InitialState(), grid)
         return bool(full.values.max() > 0.01)

@@ -1,5 +1,7 @@
 """Time evolution, reduction to the two-atom state, and peak analytics.
 
+The numeric peak search (g2 kept) sits here with the concurrence kernel it runs on.
+
 The initial state is |g>_2 (x) (alpha |g>_1|1> + beta |e>_1|0>), i.e.
 (alpha, beta, 0) on the single-excitation basis.  Evolution goes through the
 numerical eigendecomposition of the full Hamiltonian (g2 included), so the
@@ -51,6 +53,17 @@ _SCAN_POINTS = 129
 _SQRT_EPS = 1.5e-8
 # Points per slice of the concurrence kernel.
 _KERNEL_POINTS = 8192
+# Numeric peak search: coarse-grid intervals per period at least, largest W h
+# (W the spectral width), most coarse samples of one call (bounds the run time
+# and the coarse block list at any W/Omega), points evaluated per slice (bounds
+# the kernel's memory), the factor by which each round refines a kept cell, and
+# the W * cell width at which refinement stops (C is then exact to about eps).
+_COARSE_INTERVALS = 64
+_COARSE_WH = 0.2
+_COARSE_SAMPLES_MAX = 2**27
+_SLICE_POINTS = 2**18
+_REFINE_POINTS = 8
+_ZOOM_STOP = 5e-8
 # Smallest Omega whose period 2 pi/Omega is finite (division is monotone).
 _OMEGA_MIN = 2.0 * math.pi / math.nextafter(math.inf, 0.0)
 
@@ -165,7 +178,12 @@ def _concurrence(weights, t) -> np.ndarray:
     Members run in slices of about _KERNEL_POINTS points, so the
     temporaries stay in cache and their heap memory is reused.  Raises
     ParameterError if a phase gap * t is not finite (checked once, from
-    max gap * max|t|).
+    max gap * max|t|).  Floor (photon-fed, g2 = 0; not in the kernel but in
+    the eigensolver, which deflates a coupling tiny against the others to
+    exactly 0): C = 0 where the closed form is positive once Gamma is below
+    about 1.5e-154 = sqrt(DBL_MIN) for g1 in [1e-50, 1e100], or Gamma/g1
+    below about 1e-32 for g1 <= 1e-150.  For Gamma/g1 >= 1e-30 and g1 in
+    [1e-250, 1e250] C is within about 3e-15 relative of the closed form.
     """
     gaps, mix, offset = weights
     t_arr = np.asarray(t, dtype=float)
@@ -315,6 +333,91 @@ def peak_report(params: ModelParams) -> PeakReport:
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
     fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE, period, rddi / g1)
     return PeakReport(*fields) if omega.ndim else PeakReport(*map(float, fields))
+
+
+def numeric_peak_concurrence(params: ModelParams):
+    """Maximum of the propagated concurrence over t in [0, 2 pi/Omega], g2 kept.
+
+    The window is one period of the g2 = 0 model, Omega = sqrt(g1^2 + Gamma^2).
+    With g2 kept the motion is not periodic at 2 pi/Omega; once |g2| is not
+    small against |g1| the result is the maximum over this window only, not
+    over all t.
+    A grid of models is searched as one stack (array result; float for a
+    scalar model).  With psi0 = (1, 0, 0), C = 2|g| for the exponential sum
+    g = b conj(c) = sum_jk a_jk exp(-i (E_j - E_k) t), a_jk = V_1j V_0j V_2k V_0k
+    (conjugates dropped), so with m_p = sum_jk |a_jk| |E_j - E_k|^p the
+    curvature obeys |d^2 C^2/dt^2| <= 8 (m_0 m_2 + m_1^2), a term-by-term
+    sharpening of Bernstein's inequality.  A maximum inside a cell of width d
+    thus exceeds the C^2 at the cell's centre by at most the slack
+    (m_0 m_2 + m_1^2) d^2.  The search is a uniform-grid branch-and-bound
+    (after Piyavskii 1972 and Shubert 1972, with this curvature bound for
+    their Lipschitz constant).  Round 0 samples t = j h, j = 0..n, n the
+    larger of 64 and period W/0.2 (W = E_max - E_min), each sample the
+    centre of a cell of width h.  Each round keeps every cell whose C^2 plus
+    the slack exceeds its row's best C^2 (strictly, so a row with C = 0
+    throughout stops at round 0) and splits it into 8 cells sampled at their
+    centres, until W d <= 5e-8.  The result is an attained value, exact to
+    about eps relative and never above the true maximum.  Work runs in
+    slices of at most 2^18 points, and one call takes at most 2^27 coarse
+    samples in all (n + 1 per model); a larger search raises ParameterError
+    before any sample is taken, so memory and run time stay bounded at any
+    W/Omega.  Below the eigensolver's floor (``_concurrence``: Gamma under
+    about 1.5e-154 at g1 = 1) the kernel gives C = 0, and so does the search.
+    """
+    period = _period(np.hypot(params.g1, params.rddi))
+    h = build_single_excitation_h(params)
+    shape, h = h.shape[:-2], h.reshape(-1, 3, 3)
+    decomp = _eigendecompose(h, _entry_max(h))  # symmetric and finite, as in _model_decomposition
+    energies, vectors = decomp.eigenvalues, decomp.eigenvectors
+    weights = _atom_weights(decomp, InitialState().vector())
+    period = np.broadcast_to(period, shape).ravel()
+    width = energies[:, -1] - energies[:, 0]
+    weight = np.abs(vectors * vectors[:, :1, :])
+    a = weight[:, 1, :, None] * weight[:, 2, None, :]
+    gap = np.abs(energies[:, :, None] - energies[:, None, :]) / width[:, None, None]  # in [0, 1]
+    m0, m1, m2 = (np.sum(a * gap**p, axis=(1, 2)) for p in range(3))
+    # C <= 2 m0, so C/m0 and the curvature (m0 m2 + m1^2)/m0^2 (in units of W^2)
+    # neither overflow nor underflow; m0 = 0 only where C = 0.
+    scale = np.where(m0 > 0.0, m0, 1.0)
+    curvature = m2 / scale + (m1 / scale) ** 2
+
+    with np.errstate(over="ignore"):  # a count that overflows to inf is refused below
+        n = np.ceil(np.maximum(_COARSE_INTERVALS, period * width / _COARSE_WH))
+        samples = np.sum(n + 1.0)
+    if samples > _COARSE_SAMPLES_MAX:
+        raise ParameterError(f"numeric peak search needs {samples:.3g} coarse samples, "
+                             f"more than the {_COARSE_SAMPLES_MAX} of one call")
+    # A sample is (row, u) at t = u d, d = h/8^r the cell width of round r, so
+    # the window [0, n h] is u in [0, n 8^r] and every u is exact.  Round 0 runs
+    # each row's grid in blocks of `block` samples (the last padded past j = n);
+    # a cell centred at u splits into cells centred at u' = 8u - 3.5 + k, k < 8.
+    block = _COARSE_INTERVALS + 1
+    rows = np.repeat(np.arange(n.size), n.astype(int) // block + 1)
+    first, points = block * (np.arange(rows.size) - np.searchsorted(rows, rows)), np.arange(block)
+    best = np.zeros(n.size)
+    d, limit = period / n, n
+    while rows.size:
+        slack, refine = curvature * (width * d) ** 2, width * d > _ZOOM_STOP
+        found = []
+        step = _SLICE_POINTS // points.size
+        for s in range(0, rows.size, step):
+            sub = rows[s:s + step]
+            u = first[s:s + step, None] + points
+            t = np.clip(u, 0.0, limit[sub, None]) * d[sub, None]  # padding and outside cells repeat an end
+            values = _concurrence(tuple(w[sub] for w in weights), t)
+            np.maximum.at(best, sub, values.max(axis=1))
+            # Kept: a cell inside the window whose C^2 plus the slack beats its
+            # row's best so far (strictly, so C = 0 rows stop), while W d > _ZOOM_STOP.
+            top = best[sub] / scale[sub]
+            live = (values / scale[sub, None]) ** 2 + slack[sub, None] > top[:, None] ** 2
+            live &= (u >= 0.0) & (u <= limit[sub, None]) & refine[sub, None]
+            i, k = np.nonzero(live)
+            found.append((sub[i], u[i, k]))
+        rows, u = (np.concatenate(part) for part in zip(*found))
+        first, points = _REFINE_POINTS * u - (_REFINE_POINTS - 1) / 2, np.arange(_REFINE_POINTS)
+        d, limit = d / _REFINE_POINTS, limit * _REFINE_POINTS
+    best = best.reshape(shape)
+    return float(best) if best.ndim == 0 else best
 
 
 def peak_height(g1, rddi):

@@ -6,7 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from cavitypair import CavityGeometry, InitialState, concurrence_series, params_at, sweep_position
+from cavitypair import CavityGeometry, InitialState, NoConvergence, concurrence_series, params_at, sweep_position
+from cavitypair import cli
 from cavitypair.cli import _merge_config, _shared_parser, build_parser, main
 from cavitypair.svgplot import raster_plot
 
@@ -241,6 +242,16 @@ class TestSelftest:
         assert lines[-1] == "" and len(lines) == 6
         assert all(line.startswith("PASS ") for line in lines[:-1])
 
+    def test_failed_and_crashed_checks_exit_3(self, monkeypatch):
+        def crash():
+            raise RuntimeError("boom")
+
+        checks = (("fine", lambda: True), ("wrong", lambda: False), ("crashed", crash))
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: checks)
+        code, out, _ = run_cli("selftest")
+        assert code == 3
+        assert out == "PASS fine\nFAIL wrong\nFAIL crashed: RuntimeError: boom\n"
+
 
 class TestPlot:
     def test_svg_well_formed_and_deterministic(self):
@@ -251,6 +262,13 @@ class TestPlot:
         assert "<polyline" in first
         code, second, _ = run_cli("plot", "--g1", "1", "--rddi", "0.5", "--t-steps", "100")
         assert second == first
+
+    def test_sweep_figure_well_formed_and_deterministic(self):
+        code, first, _ = run_cli("plot", "--kind", "sweep", "--x1-steps", "11")
+        assert code == 0
+        assert first.startswith("<?xml") and first.endswith("</svg>\n")
+        assert first.count("<polyline") == 2
+        assert run_cli("plot", "--kind", "sweep", "--x1-steps", "11")[1] == first
 
     def test_mesh_raster(self):
         code, out, _ = run_cli("plot", "--kind", "mesh", "--x1-steps", "5", "--t-steps", "6")
@@ -431,6 +449,17 @@ class TestDomainEdges:
           "--x1-steps", "1"), 2),
         (("evolve", "--standing-wave", "--lambda-um", "1e-300", "--w0-um", "1e10", "--x1", "1", "--t-steps", "2"), 2),
         (("evolve", "--g1", "1e-320"), 2),
+        (("mesh", "--g1", "0.3", "--x1-steps", "2", "--t-steps", "2"), 2),
+        (("sweep", "--rddi", "5"), 2),
+        (("sweep", "--x1", "0.5"), 2),
+        (("plot", "--kind", "sweep", "--g1", "0.3"), 2),
+        (("evolve", "--t-max", "-1"), 2),
+        (("evolve", "--t-max", "nan"), 2),
+        (("evolve", "--t-max", "0", "--t-steps", "5"), 2),
+        (("sweep", "--x1-min", "1", "--x1-max", "0"), 2),
+        (("evolve", "--x1", "inf"), 2),
+        (("plot", "--g1", "1", "--rddi", "0"), 0),
+        (("plot", "--g1", "1", "--rddi", "0.5", "--t-steps", "1"), 0),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         with warnings.catch_warnings(record=True) as caught:
@@ -452,6 +481,22 @@ class TestDomainEdges:
         assert err == "error: ParameterError: phase max|E| max|t| = inf is not finite\n"
         _, _, err = run_cli("evolve", "--standing-wave", "--lambda-um", "1e-300", "--w0-um", "1e10", "--x1", "1")
         assert err == "error: ParameterError: standing-wave phase 2 pi x1 w0/lambda overflows\n"
+
+    def test_grid_commands_refuse_model_input(self, tmp_path):
+        _, _, err = run_cli("sweep", "--rddi", "5")
+        assert err == "error: ParameterError: grid commands take atom 1 from --x1-min/--x1-max/--x1-steps, not rddi\n"
+        cfg = tmp_path / "direct.cfg"
+        cfg.write_text("g1 = 0.3\ng2 = 0.1\n")
+        code, out, err = run_cli("mesh", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.endswith("--x1-steps, not g1, g2\n")
+
+    def test_numerical_contract_violation_exits_3(self, monkeypatch):
+        def fail(cfg):
+            raise NoConvergence("eigensolver failed")
+
+        monkeypatch.setattr(cli, "cmd_peaks", fail)
+        assert run_cli("peaks") == (3, "", "error: NoConvergence: eigensolver failed\n")
 
     @pytest.mark.parametrize("command", ["evolve", "plot"])
     def test_default_period_messages(self, command):

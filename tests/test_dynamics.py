@@ -527,3 +527,12 @@ class TestConcurrenceKernel:
         for i in (0, 19, 20, 39):
             single = dynamics._model_concurrence(ModelParams(g1=g1[i], g2=1e-3, rddi=0.4), init, t)
             np.testing.assert_array_equal(values[i], single)
+
+    @pytest.mark.parametrize("ratio", [1e-30, 1e-15, 1e-3, 1.0])
+    @pytest.mark.parametrize("g1", [1e-250, 1e-150, 1e-50, 1.0, 1e50, 1e150, 1e250])
+    def test_peak_above_the_eigensolver_floor(self, g1, ratio):
+        # Above eigh's deflation floor (Gamma/g1 >= 1e-30 here) the kernel keeps the closed-form peak.
+        params = ModelParams(g1=g1, rddi=ratio * g1)
+        value = dynamics._model_concurrence(params, InitialState(), peak_report(params).t_peak)
+        want = peak_height(g1, params.rddi)
+        assert abs(value - want) <= 1e-14 * want

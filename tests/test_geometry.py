@@ -332,12 +332,30 @@ class TestNumericPeak:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(geometry, "hermitian_eigendecompose",
-                            counted("decompose", geometry.hermitian_eigendecompose))
-        monkeypatch.setattr(geometry, "_atom_weights", counted("weights", geometry._atom_weights))
+        monkeypatch.setattr(dynamics, "_eigendecompose", counted("decompose", dynamics._eigendecompose))
+        monkeypatch.setattr(dynamics, "_atom_weights", counted("weights", dynamics._atom_weights))
         # NEAR_WAIST runs the kernel many times: coarse slices, then zoom rounds.
         numeric_peak_concurrence(params_at(NEAR_WAIST, np.linspace(-3.0, 3.0, 9)))
         assert calls == {"decompose": 1, "weights": 1}
+
+    def test_geometry_and_package_bind_the_dynamics_search(self):
+        assert geometry.numeric_peak_concurrence is dynamics.numeric_peak_concurrence
+        assert numeric_peak_concurrence is dynamics.numeric_peak_concurrence
+
+    def test_per_member_phase_check_is_reached_and_exact(self, monkeypatch):
+        # max|gap| max|t| overflows across the two models, but each model's own product is finite.
+        check, reached = dynamics._require_finite_phase, []
+
+        def counted(frequencies, t):
+            reached.append(not math.isfinite(float(np.abs(frequencies).max()) * float(np.abs(t).max())))
+            return check(frequencies, t)
+
+        monkeypatch.setattr(dynamics, "_require_finite_phase", counted)
+        g1, rddi = np.array([1e300, 1e-300]), np.array([5e299, 5e-301])
+        values = numeric_peak_concurrence(ModelParams(g1=g1, rddi=rddi))
+        assert any(reached)
+        single = [numeric_peak_concurrence(ModelParams(g1=g, rddi=r)) for g, r in zip(g1, rddi)]
+        np.testing.assert_array_equal(values, single)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateModel):
@@ -365,13 +383,13 @@ class TestNumericPeak:
 
     def test_zero_concurrence_stops_at_the_coarse_grid(self, monkeypatch):
         # g2 = Gamma = 0: atom 2 never gets excited, every sample ties at C = 0
-        kernel, points = geometry._concurrence, []
+        kernel, points = dynamics._concurrence, []
 
         def counted(weights, t):
             points.append(np.size(t))
             return kernel(weights, t)
 
-        monkeypatch.setattr(geometry, "_concurrence", counted)
+        monkeypatch.setattr(dynamics, "_concurrence", counted)
         assert numeric_peak_concurrence(ModelParams(g1=np.ones(4))).tolist() == [0.0] * 4
         assert points == [4 * 65]
 
@@ -395,9 +413,9 @@ class TestNumericPeak:
 
     def test_cap_counts_n_plus_one_samples_per_model(self, monkeypatch):
         p = ModelParams(g1=np.array([1.0, 1.0]), rddi=np.array([0.5, 0.5]))  # n = 64 each
-        monkeypatch.setattr(geometry, "_COARSE_SAMPLES_MAX", 130)
+        monkeypatch.setattr(dynamics, "_COARSE_SAMPLES_MAX", 130)
         np.testing.assert_allclose(numeric_peak_concurrence(p), peak_height(1.0, 0.5), rtol=1e-14)
-        monkeypatch.setattr(geometry, "_COARSE_SAMPLES_MAX", 129)
+        monkeypatch.setattr(dynamics, "_COARSE_SAMPLES_MAX", 129)
         with pytest.raises(ParameterError, match="needs 130 coarse samples"):
             numeric_peak_concurrence(p)
 
