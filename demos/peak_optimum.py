@@ -14,7 +14,7 @@ from cavitypair.svgplot import line_plot
 
 g1 = 1.0
 gammas = np.linspace(0.01, 4.0, 400)
-heights = np.array([peak_height(g1, gamma) for gamma in gammas])
+heights = peak_height(g1, gammas)
 
 gamma_star, c_star = peak_optimum(g1)
 gamma_scan, c_scan = scan_peak_optimum(g1)

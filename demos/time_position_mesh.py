@@ -16,7 +16,7 @@ geo = CavityGeometry()
 x1 = np.linspace(-2.0, 2.0, 81)
 
 # one full period of the slowest grid point sets the time window
-slowest = min(params_at(geo, x).omega for x in x1)
+slowest = params_at(geo, x1).omega.min()
 t_max = 2.0 * np.pi / slowest
 t = np.linspace(0.0, t_max, 161)
 

@@ -175,7 +175,7 @@ def _mesh(cfg: dict):
     """x1 grid, time grid and concurrence mesh; t_max defaults to the slowest period on the grid."""
     geo, x1_grid = _geometry(cfg), _x1_grid(cfg)
     grid = params_at(geo, x1_grid)
-    t_grid = _time_grid(cfg, float(np.min(np.hypot(grid.g1, grid.rddi))), DEFAULT_MESH_T_STEPS)
+    t_grid = _time_grid(cfg, float(np.min(grid.omega)), DEFAULT_MESH_T_STEPS)
     return x1_grid, t_grid, mesh(geo, x1_grid, t_grid)
 
 

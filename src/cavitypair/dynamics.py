@@ -53,11 +53,12 @@ _SCAN_POINTS = 129
 _SQRT_EPS = 1.5e-8
 # Points per slice of the concurrence kernel.
 _KERNEL_POINTS = 8192
-# Numeric peak search: coarse-grid intervals per period at least, largest W h
-# (W the spectral width), most coarse samples of one call (bounds the run time
-# and the coarse block list at any W/Omega), points evaluated per slice (bounds
-# the kernel's memory), the factor by which each round refines a kept cell, and
-# the W * cell width at which refinement stops (C is then exact to about eps).
+# Numeric peak search: cells of round 0 per period, the W * cell width of the
+# a-priori breadth bound (W the spectral width), the most cells of that width
+# one call may span in all (bounds the run time at any W/Omega), points
+# evaluated per slice (bounds the kernel's memory), the factor by which each
+# round refines a kept cell, and the W * cell width at which refinement stops
+# (C is then exact to about eps).
 _COARSE_INTERVALS = 64
 _COARSE_WH = 0.2
 _COARSE_SAMPLES_MAX = 2**27
@@ -262,9 +263,13 @@ def peak_amplitude(g1, rddi):
     Signed couplings enter through |g1| and |Gamma|.  With s = min/max of
     (|g1|, |Gamma|) it is 2s/(1+s^2)^{3/2} when |g1| >= |Gamma| and
     2s^2/(1+s^2)^{3/2} otherwise, so no scale overflows or underflows.
+    Raises ParameterError for a coupling that is not finite (one test, on
+    the larger magnitude).
     """
     g1, rddi = abs(_values(g1)), abs(_values(rddi))
     m = np.maximum(g1, rddi)
+    if not (math.isfinite(m) if m.ndim == 0 else np.isfinite(m).all()):
+        raise ParameterError(f"couplings must be finite, got max(|g1|, |rddi|) = {float(np.max(m))!r}")
     a, b = g1 / m, rddi / m
     omega = np.hypot(a, b)
     out = np.minimum(2.0 * a * a * b / (omega * omega * omega), _AMPLITUDE_MAX)
@@ -322,17 +327,23 @@ def peak_report(params: ModelParams) -> PeakReport:
 
     Requires g2 = 0 and the photon-fed initial state.  Raises DegenerateModel
     when Omega = 0 or 2 pi/Omega overflows, and ZeroCoupling when g1 = 0 (the
-    ratio Gamma/g1 would be undefined; no sentinel is substituted).
+    ratio Gamma/g1 would be undefined; no sentinel is substituted).  The
+    ratio is Gamma/g1 correctly rounded, so it is +-inf, with no warning,
+    where |Gamma/g1| exceeds the largest double (g1 = 1e-300, Gamma = 1e10);
+    the other fields stay finite there.
     """
     g1, g2, rddi = _values(params.g1), _values(params.g2), _values(params.rddi)
     if _any(g2 != 0.0):
         raise ParameterError("peak analytics are defined for g2 = 0 only")
-    omega = np.hypot(g1, rddi)
+    omega = params.omega
     period = _period(omega)
     if _any(g1 == 0.0):
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
-    fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE, period, rddi / g1)
-    return PeakReport(*fields) if omega.ndim else PeakReport(*map(float, fields))
+    fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE, period)
+    if isinstance(omega, float):
+        return PeakReport(*fields, float(rddi) / float(g1))
+    with np.errstate(over="ignore"):  # an overflowing ratio is +-inf, as for one model
+        return PeakReport(*fields, rddi / g1)
 
 
 def numeric_peak_concurrence(params: ModelParams):
@@ -351,20 +362,22 @@ def numeric_peak_concurrence(params: ModelParams):
     thus exceeds the C^2 at the cell's centre by at most the slack
     (m_0 m_2 + m_1^2) d^2.  The search is a uniform-grid branch-and-bound
     (after Piyavskii 1972 and Shubert 1972, with this curvature bound for
-    their Lipschitz constant).  Round 0 samples t = j h, j = 0..n, n the
-    larger of 64 and period W/0.2 (W = E_max - E_min), each sample the
-    centre of a cell of width h.  Each round keeps every cell whose C^2 plus
-    the slack exceeds its row's best C^2 (strictly, so a row with C = 0
-    throughout stops at round 0) and splits it into 8 cells sampled at their
-    centres, until W d <= 5e-8.  The result is an attained value, exact to
-    about eps relative and never above the true maximum.  Work runs in
-    slices of at most 2^18 points, and one call takes at most 2^27 coarse
-    samples in all (n + 1 per model); a larger search raises ParameterError
-    before any sample is taken, so memory and run time stay bounded at any
-    W/Omega.  Below the eigensolver's floor (``_concurrence``: Gamma under
-    about 1.5e-154 at g1 = 1) the kernel gives C = 0, and so does the search.
+    their Lipschitz constant).  Round 0 is 64 equal cells of the window,
+    for any W/Omega (W = E_max - E_min), after one sample at t = period: the
+    slack bounds only a maximum where the slope is 0 (C(0) = 0 needs none).
+    Each round samples its cells at their centres, keeps every cell whose
+    C^2 plus the slack exceeds its row's best C^2 (strictly, so a row with
+    C = 0 throughout stops at round 0) and splits it into 8, until
+    W d <= 5e-8.  The result is an attained value, exact to about eps
+    relative and never above the true maximum.  Work runs in slices of at
+    most 2^18 points.  The breadth is bounded a priori by n, the larger of
+    64 and period W/0.2 (cells of width 0.2/W): a call whose n + 1 summed
+    over its models ("coarse samples") exceeds 2^27 raises ParameterError
+    before any sample, so memory and run time stay bounded at any W/Omega.
+    Below the eigensolver's floor (``_concurrence``: Gamma under about
+    1.5e-154 at g1 = 1) the kernel gives C = 0, and so does the search.
     """
-    period = _period(np.hypot(params.g1, params.rddi))
+    period = _period(params.omega)
     h = build_single_excitation_h(params)
     shape, h = h.shape[:-2], h.reshape(-1, 3, 3)
     decomp = _eigendecompose(h, _entry_max(h))  # symmetric and finite, as in _model_decomposition
@@ -387,15 +400,12 @@ def numeric_peak_concurrence(params: ModelParams):
     if samples > _COARSE_SAMPLES_MAX:
         raise ParameterError(f"numeric peak search needs {samples:.3g} coarse samples, "
                              f"more than the {_COARSE_SAMPLES_MAX} of one call")
-    # A sample is (row, u) at t = u d, d = h/8^r the cell width of round r, so
-    # the window [0, n h] is u in [0, n 8^r] and every u is exact.  Round 0 runs
-    # each row's grid in blocks of `block` samples (the last padded past j = n);
+    # A sample is (row, u) at t = u d, d = period/(64 8^r) the cell width of
+    # round r, and every u is exact.  Round 0 centres its cells at u = j + 1/2;
     # a cell centred at u splits into cells centred at u' = 8u - 3.5 + k, k < 8.
-    block = _COARSE_INTERVALS + 1
-    rows = np.repeat(np.arange(n.size), n.astype(int) // block + 1)
-    first, points = block * (np.arange(rows.size) - np.searchsorted(rows, rows)), np.arange(block)
-    best = np.zeros(n.size)
-    d, limit = period / n, n
+    best = _concurrence(weights, period[:, None])[:, 0]  # the window's right end
+    rows, first, points = np.arange(best.size), np.full(best.size, 0.5), np.arange(_COARSE_INTERVALS)
+    d = period / _COARSE_INTERVALS
     while rows.size:
         slack, refine = curvature * (width * d) ** 2, width * d > _ZOOM_STOP
         found = []
@@ -403,19 +413,17 @@ def numeric_peak_concurrence(params: ModelParams):
         for s in range(0, rows.size, step):
             sub = rows[s:s + step]
             u = first[s:s + step, None] + points
-            t = np.clip(u, 0.0, limit[sub, None]) * d[sub, None]  # padding and outside cells repeat an end
-            values = _concurrence(tuple(w[sub] for w in weights), t)
+            values = _concurrence(tuple(w[sub] for w in weights), u * d[sub, None])
             np.maximum.at(best, sub, values.max(axis=1))
-            # Kept: a cell inside the window whose C^2 plus the slack beats its
-            # row's best so far (strictly, so C = 0 rows stop), while W d > _ZOOM_STOP.
+            # Kept: a cell whose C^2 plus the slack beats its row's best so far
+            # (strictly, so C = 0 rows stop), while W d > _ZOOM_STOP.
             top = best[sub] / scale[sub]
             live = (values / scale[sub, None]) ** 2 + slack[sub, None] > top[:, None] ** 2
-            live &= (u >= 0.0) & (u <= limit[sub, None]) & refine[sub, None]
-            i, k = np.nonzero(live)
+            i, k = np.nonzero(live & refine[sub, None])
             found.append((sub[i], u[i, k]))
         rows, u = (np.concatenate(part) for part in zip(*found))
         first, points = _REFINE_POINTS * u - (_REFINE_POINTS - 1) / 2, np.arange(_REFINE_POINTS)
-        d, limit = d / _REFINE_POINTS, limit * _REFINE_POINTS
+        d = d / _REFINE_POINTS
     best = best.reshape(shape)
     return float(best) if best.ndim == 0 else best
 
@@ -423,7 +431,9 @@ def numeric_peak_concurrence(params: ModelParams):
 def peak_height(g1, rddi):
     """Peak concurrence (2 g1^2 |Gamma|/Omega^3)(3 sqrt(3)/4) as a function of Gamma, at most 1.
 
-    Scalars give a float, arrays (broadcast together) an array.
+    Scalars give a float, arrays (broadcast together) an array.  Raises
+    ParameterError for a coupling that is not finite, and DegenerateModel
+    when g1 = Gamma = 0.
     """
     g1, rddi = _values(g1), _values(rddi)
     if _any((g1 == 0.0) & (rddi == 0.0)):
@@ -437,8 +447,8 @@ def peak_optimum(g1: float) -> tuple[float, float]:
     The optimum is Gamma = g1/sqrt(2) with peak concurrence exactly 1;
     ``scan_peak_optimum`` recovers the same point numerically.
     """
-    if g1 <= 0.0:
-        raise ParameterError(f"g1 = {g1!r} must be positive")
+    if not 0.0 < g1 < math.inf:
+        raise ParameterError(f"g1 = {g1!r} must be finite and positive")
     return g1 / math.sqrt(2.0), 1.0
 
 
@@ -453,8 +463,8 @@ def scan_peak_optimum(g1: float) -> tuple[float, float]:
     of ``peak_optimum``; used as its numerical cross-check (agreement to
     1e-6 is asserted by the tests).
     """
-    if g1 <= 0.0:
-        raise ParameterError(f"g1 = {g1!r} must be positive")
+    if not 0.0 < g1 < math.inf:
+        raise ParameterError(f"g1 = {g1!r} must be finite and positive")
     a, b = _SCAN_BRACKET
     fraction = np.linspace(0.0, 1.0, _SCAN_POINTS)
     while True:

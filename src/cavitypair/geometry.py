@@ -179,6 +179,8 @@ class SweepResult:
     default geometry (g2 = e^-25) that is at most 1.35e-8 on x1 in [-2, 2].
     c_peak_numeric, filled on request, keeps g2: the maximum of the propagated
     concurrence over one period, to about eps (``numeric_peak_concurrence``).
+    Every entry is finite except ratio = Gamma/g1, which is +-inf where it
+    exceeds the largest double (g1 underflows far from the waist, x1 = 27).
     """
 
     x1: np.ndarray

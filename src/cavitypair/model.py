@@ -30,7 +30,7 @@ class ModelParams:
     time reversal take any sign pattern of (g1, g2, Gamma) to any other
     without changing the concurrence of the photon-fed state, and the peak
     analytics use |g1| and |Gamma|.  Arrays that broadcast together make a
-    grid of models (``omega`` needs floats).
+    grid of models.
     """
 
     g1: float
@@ -51,9 +51,16 @@ class ModelParams:
             raise ParameterError(f"{('g1', 'g2', 'rddi')[index[0]]} = {float(values[index])!r} is not finite")
 
     @property
-    def omega(self) -> float:
-        """Effective oscillation frequency sqrt(g1^2 + rddi^2) of the g2=0 model."""
-        return math.hypot(self.g1, self.rddi)
+    def omega(self):
+        """Effective oscillation frequency sqrt(g1^2 + rddi^2) of the g2=0 model.
+
+        A float for one model, an array for a grid; both use ``np.hypot``, so a
+        model rounds alike alone and on a grid.  Beyond the largest double it
+        is inf, with no warning.
+        """
+        with np.errstate(over="ignore"):
+            omega = np.hypot(self.g1, self.rddi)
+        return float(omega) if omega.ndim == 0 else omega
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,18 @@ class TestMesh:
         c = column(header, rows, "concurrence")
         assert abs(c[0]) <= 1e-15 and abs(c[4]) <= 1e-15 and abs(c[8]) <= 1e-15
 
+    def test_one_period_per_position_across_commands(self):
+        # At this x1 math.hypot and np.hypot round Omega differently; every command must use one.
+        grid = ("--x1-min", "-3.3202", "--x1-max", "-3.3202", "--x1-steps", "1")
+        ends = []
+        for args, name in ((("evolve", "--x1", "-3.3202", "--t-steps", "2"), "t"),
+                           (("sweep", *grid), "period"), (("mesh", *grid, "--t-steps", "2"), "t")):
+            code, out, _ = run_cli(*args)
+            assert code == 0
+            header, rows = parse_csv(out)
+            ends.append(column(header, rows, name, str)[-1])
+        assert ends == ["14063.279289815502"] * 3
+
 
 class TestPeaks:
     def test_report_row(self):
@@ -460,6 +472,8 @@ class TestDomainEdges:
         (("evolve", "--x1", "inf"), 2),
         (("plot", "--g1", "1", "--rddi", "0"), 0),
         (("plot", "--g1", "1", "--rddi", "0.5", "--t-steps", "1"), 0),
+        (("peaks", "--g1", "1e-300", "--rddi", "1e10"), 0),
+        (("sweep", "--x1-min", "26", "--x1-max", "27", "--x1-steps", "2"), 0),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         with warnings.catch_warnings(record=True) as caught:
@@ -468,9 +482,12 @@ class TestDomainEdges:
         assert code == expected
         assert "Traceback" not in err
         assert [str(w.message) for w in caught] == []
-        if code == 0:
-            assert not any(cell in ("nan", "inf", "-inf") for line in out.split("\n")[1:]
-                           for cell in line.split(","))
+        if code == 0:  # only the ratio column may hold +-inf: |Gamma/g1| beyond the largest double
+            header, *lines = out.split("\n")
+            names = header.split(",")
+            ratio = names.index("ratio") if "ratio" in names else None
+            cells = [(k, cell) for line in lines for k, cell in enumerate(line.split(","))]
+            assert not any(cell == "nan" or (cell in ("inf", "-inf") and k != ratio) for k, cell in cells)
         else:
             assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -76,6 +76,10 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(times=np.array([]), values=np.array([]))
 
+    def test_rejects_non_finite_value(self):
+        with pytest.raises(ParameterError, match="^times and values must be finite$"):
+            TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.0, math.nan]))
+
 
 class TestEvolve:
     def test_time_zero(self):
@@ -303,6 +307,13 @@ class TestPeakReport:
         with np.errstate(all="raise"), pytest.raises(DegenerateModel, match="period 2 pi/Omega overflows"):
             peak_report(ModelParams(g1=g1))
 
+    @pytest.mark.parametrize("g1", [1e-300, -1e-300, np.array([1e-300, -1e-300, 1e-5])])
+    def test_overflowing_ratio_is_inf_quietly(self, g1):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = peak_report(ModelParams(g1=g1, rddi=1e10))
+        np.testing.assert_array_equal(report.ratio, np.where(np.abs(g1) < 1e-200, np.sign(g1) * np.inf, 1e10 / 1e-5))
+        assert np.all(np.isfinite([report.c_peak, report.t_peak, report.period]))
+
 
 class TestPeriod:
     """One period check for the peak analytics and the numeric peak search."""
@@ -392,6 +403,18 @@ class TestPeakOptimum:
             peak_optimum(0.0)
         with pytest.raises(ValueError):
             scan_peak_optimum(-1.0)
+
+    @pytest.mark.parametrize("g1, rddi", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
+                                          (1.0, np.array([0.5, math.nan]))])
+    def test_height_rejects_non_finite_couplings(self, g1, rddi):
+        with pytest.raises(ParameterError, match="^couplings must be finite, got max"):
+            peak_height(g1, rddi)
+
+    @pytest.mark.parametrize("optimum", [peak_optimum, scan_peak_optimum])
+    @pytest.mark.parametrize("g1", [math.nan, math.inf])
+    def test_optimum_rejects_non_finite_g1(self, optimum, g1):
+        with pytest.raises(ParameterError, match=f"^g1 = {g1!r} must be finite and positive$"):
+            optimum(g1)
 
 
 @pytest.mark.parametrize(

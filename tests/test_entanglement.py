@@ -132,6 +132,11 @@ class TestXstate:
         with pytest.raises(InvalidDensityMatrix):
             xstate_concurrence(rho)
 
+    def test_rejects_negative_population(self):
+        rho = single_coherence_rho([-1e-6, 0.5, 0.5 + 1e-6, 0.0], 0.0)
+        with pytest.raises(InvalidDensityMatrix, match=r"^negative population -1e-06$"):
+            xstate_concurrence(rho)
+
 
 class TestFastPathAgreement:
     def test_on_pipeline_states(self):

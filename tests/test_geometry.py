@@ -391,7 +391,21 @@ class TestNumericPeak:
 
         monkeypatch.setattr(dynamics, "_concurrence", counted)
         assert numeric_peak_concurrence(ModelParams(g1=np.ones(4))).tolist() == [0.0] * 4
-        assert points == [4 * 65]
+        assert points == [4, 4 * 64]
+
+    def test_maximum_at_the_window_end(self):
+        # With g2 kept, these models peak over [0, period] at t = period itself,
+        # where the slope is not 0 and the curvature slack bounds nothing.
+        g1, g2, rddi = np.array([(2.88369808924709, 2.1716388095039663, 0.30324427239113305),
+                                 (-0.7007489223619987, 2.238044168725409, 0.19842829350165367),
+                                 (0.5153907699038467, -1.7406118668986859, 0.9940700596105407)]).T
+        params = ModelParams(g1=g1, g2=g2, rddi=rddi)
+        values = numeric_peak_concurrence(params)
+        period = dynamics._period(params.omega)[:, None]
+        end = dynamics._model_concurrence(params, InitialState(), period)[:, 0]
+        dense = dynamics._model_concurrence(params, InitialState(), period * np.linspace(0.0, 1.0, 200_001))
+        np.testing.assert_allclose(values, end, rtol=1e-15, atol=0.0)
+        assert np.all(values >= dense.max(axis=1))
 
     @pytest.mark.parametrize("ratio", [1e-78, 1e-85, 1e-140])
     def test_tiny_concurrence_is_refined(self, ratio):

@@ -101,6 +101,14 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             decomp.eigenvalues[0] = 0.0
 
+    def test_backend_failure_is_no_convergence(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NoConvergence, match="^eigensolver failed: Eigenvalues did not converge$"):
+            hermitian_eigendecompose(h_model(1.0, 0.5))
+
 
 class TestEvolveSpectral:
     def test_time_zero_is_identity(self):
@@ -155,6 +163,11 @@ class TestEvolveSpectral:
             evolve_spectral(decomp, np.array([1.0, 1.0, 0.0]), 1.0)
         with pytest.raises(DimensionMismatch):
             evolve_spectral(decomp, np.array([1.0, 0.0]), 1.0)
+
+    def test_two_dimensional_state_rejected(self):
+        decomp = hermitian_eigendecompose(h_model(1.0, 0.5))
+        with pytest.raises(DimensionMismatch, match=r"^expected a 1-d state vector, got shape \(1, 3\)$"):
+            evolve_spectral(decomp, np.array([[1.0, 0.0, 0.0]]), 1.0)
 
     def test_nan_state_rejected(self):
         psi = np.array([np.nan, 0.0, 0.0])
@@ -423,6 +436,11 @@ class TestRk4:
         psi0 = np.array([1.0, 0.0, 0.0], dtype=complex)
         with np.errstate(all="raise"), pytest.raises(InvalidStep, match="t_final / dt = .* is not finite"):
             rk4_schrodinger(h, psi0, t_final, dt)
+
+    def test_rejects_a_stack(self):
+        h = np.stack([h_model(1.0, 0.5), h_model(0.5, 1.0)])
+        with pytest.raises(DimensionMismatch, match=r"^expected a single matrix, got shape \(2, 3, 3\)$"):
+            rk4_schrodinger(h, np.array([1.0, 0.0, 0.0]), 1.0, 1e-2)
 
     def test_norm_drift_is_tiny_but_nonzero_diagnostic(self):
         h = h_model(1.0, 0.5)
