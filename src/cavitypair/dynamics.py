@@ -51,7 +51,12 @@ while _AMPLITUDE_MAX * _PEAK_SHAPE > 1.0:
 _SCAN_BRACKET = (1e-9, 10.0)
 _SCAN_POINTS = 129
 _SQRT_EPS = 1.5e-8
-# Points per slice of the concurrence kernel.
+# Points per slice of the concurrence kernel.  Its one scratch buffer holds 9
+# doubles per point (576 KiB at 8192), inside the 2 MiB per-core L2 of the
+# 2-vCPU Xeon it was measured on, where 4096 and 16384 points were no faster
+# on a 64 x 400 mesh (best of 300: 1.26 and 1.22 ms against 1.19 ms) or on a
+# numeric search of 1.0e8 kernel points (9.4-10.4 s and 8.9-9.5 s against
+# 8.6-9.8 s).
 _KERNEL_POINTS = 8192
 # Numeric peak search: cells of round 0 per period, the W * cell width of the
 # a-priori breadth bound (W the spectral width), the most cells of that width
@@ -148,22 +153,27 @@ def _atom_weights(decomp: SpectralDecomposition, psi0: np.ndarray):
     With w_rj = V_rj (V^dagger psi0)_j for r = 1, 2 (atom 1, atom 2), the
     amplitudes are b, c = e^{-i E_0 t} sum_j w_rj e^{-i (E_j - E_0) t}.  The
     common phase drops out of |b| and |c|, so only the gaps d_j = E_j - E_0
-    (j = 1, 2) are kept, and Re/Im of b and c are the real 4x4 matrix
-    ``mix`` times (cos d_1 t, cos d_2 t, sin d_1 t, sin d_2 t) plus the
-    j = 0 term ``offset``.  Returns (gaps, mix, offset) with shapes
-    (..., 2), (..., 4, 4) and (..., 4); indexing all three by rows of a
-    stack gives the weights of those members.
+    (j = 1, 2) are kept.  The kernel takes cos and sin of the phase x = d_j t
+    from tau = tan(x/2), as 1 + cos x = r = 2/(1 + tau^2) and sin x = tau r,
+    so with e^{-ix} = (r - 1) - i tau r the constant parts fold into one real
+    5x4 matrix: row by row the weights of (r_1, r_2, tau_1 r_1, tau_2 r_2, 1),
+    column by column Re/Im of 2b and of c.  Its last row is the j = 0 term
+    less the two r rows (the "- 1" of cos x), and the factor 2 of
+    C = 2|b||c| sits in the b columns (exact).  Returns (gaps, weights) with
+    shapes (..., 2) and (..., 5, 4); indexing both by rows of a stack gives
+    the weights of those members.
     """
     psi0 = _require_normalized(psi0, decomp.dim)
     vectors = decomp.eigenvectors
-    w = vectors[..., 1:3, :] * (_dagger(vectors) @ psi0)[..., None, :]
-    u, v = w.real, w.imag
-    mix = np.empty(w.shape[:-2] + (4, 4))
-    mix[..., 0::2, :2], mix[..., 0::2, 2:] = u[..., 1:], v[..., 1:]  # Re b, Re c
-    mix[..., 1::2, :2], mix[..., 1::2, 2:] = v[..., 1:], -u[..., 1:]  # Im b, Im c
-    offset = np.stack([u[..., 0, 0], v[..., 0, 0], u[..., 1, 0], v[..., 1, 0]], axis=-1)
+    w = np.empty(vectors.shape[:-2] + (3, 2), dtype=complex)  # w[..., j, r]: state j, atom r
+    np.multiply(vectors[..., 1:3, :].swapaxes(-1, -2), (_dagger(vectors) @ psi0)[..., None], out=w)
+    w[..., 0] *= 2.0
+    weights = np.empty(w.shape[:-2] + (5, 4))
+    weights[..., :2, :] = w[..., 1:, :].view(float)  # r rows: w_j
+    weights[..., 2:4, :] = (-1j * w[..., 1:, :]).view(float)  # tau r rows: -i w_j
+    weights[..., 4, :] = w[..., 0, :].view(float) - (weights[..., 0, :] + weights[..., 1, :])
     gaps = decomp.eigenvalues[..., 1:] - decomp.eigenvalues[..., :1]
-    return gaps, mix, offset
+    return gaps, weights
 
 
 def _concurrence(weights, t) -> np.ndarray:
@@ -171,42 +181,56 @@ def _concurrence(weights, t) -> np.ndarray:
 
     t is a scalar (scalar result), (nt,) shared by a stack, or (k, nt) per
     member; the result has the shape ``evolve_spectral`` gives the states,
-    less the state axis.  psi is never formed: one real (4x4)(4xnt)
-    product per member, time axis innermost, gives Re/Im of b and c, and
-    |b|, |c| are hypot values, so amplitudes near 1e-170 do not underflow
-    through their squares.  Clamped to 1: for a normalized state
-    2|b||c| <= |b|^2 + |c|^2 <= 1 exactly, so only rounding can carry it above.
-    Members run in slices of about _KERNEL_POINTS points, so the
-    temporaries stay in cache and their heap memory is reused.  Raises
-    ParameterError if a phase gap * t is not finite (checked once, from
-    max gap * max|t|).  Floor (photon-fed, g2 = 0; not in the kernel but in
-    the eigensolver, which deflates a coupling tiny against the others to
-    exactly 0): C = 0 where the closed form is positive once Gamma is below
-    about 1.5e-154 = sqrt(DBL_MIN) for g1 in [1e-50, 1e100], or Gamma/g1
-    below about 1e-32 for g1 <= 1e-150.  For Gamma/g1 >= 1e-30 and g1 in
-    [1e-250, 1e250] C is within about 3e-15 relative of the closed form.
+    less the state axis.  psi is never formed.  Per point, one multiply by
+    the half-gap gives x/2 and one ``np.tan`` gives tau (no sin, cos or
+    hypot: with numpy 2.4 on x86-64 they cost 4-5 times as much per element
+    as tan and complex abs); the rows r and tau r follow, and one real (nt x 5)(5 x 4)
+    product per member gives Re/Im of 2b and c side by side.  |2b| and |c|
+    are the magnitudes of that product viewed as complex, which scale like
+    hypot, so amplitudes near 1e-170 do not underflow through their
+    squares.  Clamped to 1: for a normalized state 2|b||c| <= |b|^2 + |c|^2
+    <= 1 exactly, so only rounding can carry it above.  Members run in
+    slices of about _KERNEL_POINTS points, through one scratch buffer per
+    call.  Raises ParameterError if a phase gap * t is not finite (checked
+    once, from max gap * max|t|: the full phase, though the kernel takes
+    tan of half of it; the half-gaps are formed per slice, so the check
+    needs no temporary).  Floor (photon-fed, g2 = 0; not in the kernel but
+    in the eigensolver, which deflates a coupling tiny against the others
+    to exactly 0): C = 0 where the closed form is positive once Gamma is
+    below about 1.5e-154 = sqrt(DBL_MIN) for g1 in [1e-50, 1e100], or
+    Gamma/g1 below about 1e-32 for g1 <= 1e-150.  For Gamma/g1 >= 1e-30 and
+    g1 in [1e-250, 1e250] C is within about 3e-15 relative of the closed
+    form.
     """
-    gaps, mix, offset = weights
+    gaps, weights = weights
     t_arr = np.asarray(t, dtype=float)
     _require_finite_phase(gaps, t_arr)
     stack = gaps.shape[:-1]
-    gaps, mix, offset = gaps.reshape(-1, 2, 1), mix.reshape(-1, 4, 4), offset.reshape(-1, 4, 1)
+    gaps, weights = gaps.reshape(-1, 2).T[:, :, None], weights.reshape(-1, 5, 4)
     nt = t_arr.shape[-1] if t_arr.ndim else 1
-    times = t_arr.reshape(-1, 1, nt)  # one row shared by the stack, or one per member
-    out = np.empty((gaps.shape[0], nt))
-    step = max(1, _KERNEL_POINTS // max(nt, 1))
+    times = t_arr.reshape(1, -1, nt)  # one row shared by the stack, or one per member
+    out = np.empty((weights.shape[0], nt))
+    step = max(1, min(out.shape[0], _KERNEL_POINTS // max(nt, 1)))
+    size = step * nt
+    scratch = np.empty(9 * size + 2 * step)
+    parts = scratch[:4 * size].reshape(step, nt, 4)  # Re 2b, Im 2b, Re c, Im c
+    trig = scratch[4 * size:9 * size].reshape(5, step, nt)  # r_1, r_2, tau_1 r_1, tau_2 r_2, 1
+    trig[4] = 1.0
+    half_gaps = scratch[9 * size:].reshape(2, step, 1)
     for s in range(0, out.shape[0], step):
-        rows = slice(s, s + step)
-        trig = np.empty((gaps[rows].shape[0], 4, nt))
-        angle = np.multiply(times[rows] if times.shape[0] > 1 else times, gaps[rows], out=trig[:, 2:])
-        np.cos(angle, out=trig[:, :2])
-        np.sin(angle, out=angle)
-        parts = mix[rows] @ trig
-        parts += offset[rows]
-        b = np.hypot(parts[:, 0], parts[:, 1], out=parts[:, 0])
-        c = np.hypot(parts[:, 2], parts[:, 3], out=parts[:, 2])
-        b *= 2.0
-        np.minimum(np.multiply(b, c, out=b), 1.0, out=out[rows])
+        rows, m = slice(s, s + step), min(step, out.shape[0] - s)
+        half = np.multiply(gaps[:, rows], 0.5, out=half_gaps[:, :m])
+        tau = np.multiply(times[:, rows] if times.shape[1] > 1 else times, half, out=trig[2:4, :m])
+        np.tan(tau, out=tau)
+        r = np.square(tau, out=trig[:2, :m])
+        r += 1.0
+        np.divide(2.0, r, out=r)
+        tau *= r
+        np.matmul(trig[:, :m].transpose(1, 2, 0), weights[rows], out=parts[:m])
+        # |2b| and |c| overwrite the rows r and tau r, which the product has consumed.
+        magnitudes = scratch[4 * size:4 * size + 2 * m * nt].reshape(m, nt, 2)
+        np.abs(parts[:m].view(complex), out=magnitudes)
+        np.minimum(np.multiply(magnitudes[..., 0], magnitudes[..., 1], out=out[rows]), 1.0, out=out[rows])
     out = out.reshape(stack + (nt,))
     return out[..., 0] if t_arr.ndim == 0 else out
 
@@ -339,11 +363,16 @@ def peak_report(params: ModelParams) -> PeakReport:
     period = _period(omega)
     if _any(g1 == 0.0):
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
-    fields = (2.0 * math.pi / (3.0 * omega), peak_amplitude(g1, rddi) * _PEAK_SHAPE, period)
+    height = peak_amplitude(g1, rddi) * _PEAK_SHAPE
+    # t_peak is 2 pi/(3 Omega), and period/3 only where 3 Omega overflows.
     if isinstance(omega, float):
-        return PeakReport(*fields, float(rddi) / float(g1))
+        three = 3.0 * omega
+        t_peak = 2.0 * math.pi / three if three < math.inf else period / 3.0
+        return PeakReport(t_peak, height, period, float(rddi) / float(g1))
     with np.errstate(over="ignore"):  # an overflowing ratio is +-inf, as for one model
-        return PeakReport(*fields, rddi / g1)
+        three = 3.0 * omega
+        t_peak = np.where(three < math.inf, 2.0 * math.pi / three, period / 3.0)
+        return PeakReport(t_peak, height, period, rddi / g1)
 
 
 def numeric_peak_concurrence(params: ModelParams):

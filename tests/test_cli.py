@@ -474,6 +474,7 @@ class TestDomainEdges:
         (("plot", "--g1", "1", "--rddi", "0.5", "--t-steps", "1"), 0),
         (("peaks", "--g1", "1e-300", "--rddi", "1e10"), 0),
         (("sweep", "--x1-min", "26", "--x1-max", "27", "--x1-steps", "2"), 0),
+        (("peaks", "--g1", "1e308", "--rddi", "1e308"), 0),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         with warnings.catch_warnings(record=True) as caught:

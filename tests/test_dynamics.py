@@ -315,6 +315,14 @@ class TestPeakReport:
         np.testing.assert_array_equal(report.ratio, ratio)
         assert np.all(np.isfinite([report.c_peak, report.t_peak, report.period]))
 
+    @pytest.mark.parametrize("g1", [1e308, np.array([1e308, 1e308])])
+    def test_peak_time_where_three_omega_overflows(self, g1):
+        # 3 Omega = 4.2e308 overflows, so t_peak is period/3 there, quietly.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = peak_report(ModelParams(g1=g1, rddi=1e308))
+        assert np.all(report.t_peak == report.period / 3.0)
+        assert np.all(report.t_peak > 0.0)
+
 
 class TestPeriod:
     """One period check for the peak analytics and the numeric peak search."""
@@ -551,6 +559,49 @@ class TestConcurrenceKernel:
         for i in (0, 19, 20, 39):
             single = dynamics._model_concurrence(ModelParams(g1=g1[i], g2=1e-3, rddi=0.4), init, t)
             np.testing.assert_array_equal(values[i], single)
+
+    @staticmethod
+    def _check_against_state_route(params, init, t):
+        got = dynamics._model_concurrence(params, init, t)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.max(np.abs(got - state_route_concurrence(params, init, t))) <= 1e-13
+
+    def test_half_angle_at_odd_multiples_of_half_pi(self):
+        # Where gap t/2 is (within an ulp of) the double nearest (2k+1) pi/2, tau = tan(gap t/2)
+        # is about 1e16: cos gap t = r - 1 -> -1 and sin gap t = tau r -> 0 must still hold.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(200):
+            targets = [float((2 * k + 1) * mpmath.pi / 2) for k in range(4)]
+        params = ModelParams(g1=1.0, g2=0.3, rddi=0.5)
+        init = InitialState(alpha=0.6, beta=0.8j)
+        gaps, _ = dynamics._atom_weights(dynamics._model_decomposition(params), init.vector())
+        times = []
+        for half in (0.5 * gaps).tolist():
+            for target in targets:
+                t = target / half
+                for _ in range(8):  # step t by ulps until half * t rounds to the target
+                    if half * t == target:
+                        break
+                    t = math.nextafter(t, math.inf if half * t < target else 0.0)
+                assert abs(math.tan(half * t)) > 1e14
+                times.append(t)
+        self._check_against_state_route(params, init, np.sort(times))
+
+    @pytest.mark.parametrize("init", [InitialState(), InitialState(alpha=0.6, beta=0.8j)])
+    def test_time_zero_and_tiny_phases(self, init):
+        for params in (P_REF, ModelParams(g1=1.0, g2=0.3, rddi=0.5), ModelParams(g1=1e-5, g2=2.0, rddi=-3.0)):
+            self._check_against_state_route(params, init, np.array([0.0, 1e-300]))
+
+    @pytest.mark.parametrize("g2, t", [(1.0, [1e300, 2.5e300, 6e300]), (1e150, [1e150, 3e150, 7e150])])
+    def test_phases_near_1e300(self, g2, t):
+        # eigh gives E = -g2, 0, g2 exactly here, so both routes see the same rounded phases g2 t.
+        params = ModelParams(g1=0.0, g2=g2, rddi=0.0)
+        self._check_against_state_route(params, InitialState(alpha=0.6, beta=0.8j), np.array(t))
+
+    def test_full_gap_phase_is_judged(self):
+        # gap t overflows (2.8e308) while gap t/2 does not: refused like every overflowing phase.
+        with pytest.raises(ParameterError, match="is not finite"):
+            dynamics._model_concurrence(ModelParams(g1=1e300, rddi=1e300), InitialState(), 1e8)
 
     @pytest.mark.parametrize("ratio", [1e-30, 1e-15, 1e-3, 1.0])
     @pytest.mark.parametrize("g1", [1e-250, 1e-150, 1e-50, 1.0, 1e50, 1e150, 1e250])
