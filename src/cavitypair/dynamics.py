@@ -366,12 +366,12 @@ def peak_report(params: ModelParams) -> PeakReport:
     height = peak_amplitude(g1, rddi) * _PEAK_SHAPE
     # t_peak is 2 pi/(3 Omega), and period/3 only where 3 Omega overflows.
     if isinstance(omega, float):
-        three = 3.0 * omega
-        t_peak = 2.0 * math.pi / three if three < math.inf else period / 3.0
+        three_omega = 3.0 * omega
+        t_peak = 2.0 * math.pi / three_omega if three_omega < math.inf else period / 3.0
         return PeakReport(t_peak, height, period, float(rddi) / float(g1))
     with np.errstate(over="ignore"):  # an overflowing ratio is +-inf, as for one model
-        three = 3.0 * omega
-        t_peak = np.where(three < math.inf, 2.0 * math.pi / three, period / 3.0)
+        three_omega = 3.0 * omega
+        t_peak = np.where(three_omega < math.inf, 2.0 * math.pi / three_omega, period / 3.0)
         return PeakReport(t_peak, height, period, rddi / g1)
 
 
