@@ -11,7 +11,6 @@ from .errors import (
     CoincidentAtoms,
     DegenerateModel,
     DimensionMismatch,
-    DivisionByZeroCoupling,
     InvalidDensityMatrix,
     InvalidStep,
     NoConvergence,
@@ -70,7 +69,6 @@ __all__ = [
     "CoincidentAtoms",
     "DegenerateModel",
     "DimensionMismatch",
-    "DivisionByZeroCoupling",
     "InitialState",
     "InvalidDensityMatrix",
     "InvalidStep",

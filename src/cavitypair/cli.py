@@ -219,12 +219,6 @@ def _emit(cfg: dict, text: str) -> None:
         raise ParameterError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _require_format(cfg: dict, wanted: str, command: str) -> None:
-    chosen = cfg.get("format", wanted)
-    if chosen != wanted:
-        raise ParameterError(f"{command} emits {wanted} only, got --format {chosen}")
-
-
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the first significant component is real positive.
 
@@ -240,7 +234,6 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    _require_format(cfg, "csv", "spectrum")
     params = _model_params(cfg)
     spectrum = analytic_spectrum(ModelParams(g1=params.g1, g2=0.0, rddi=params.rddi))
     h_full = build_single_excitation_h(params)
@@ -249,8 +242,14 @@ def cmd_spectrum(cfg: dict) -> int:
     vectors = np.array([_gauge_fix(vec) for vec in (spectrum.bright_minus, spectrum.dark, spectrum.bright_plus)])
     num_vectors = np.array([_gauge_fix(vec) for vec in decomp.eigenvectors.T]).real
 
+    # |H v - E v| with H and E scaled by one power of two (exact) so that
+    # max|H| is in [0.5, 1): neither H v nor the squares in the norm overflow or underflow.
+    exponent = -math.frexp(np.max(np.abs(h_full)))[1]
+    h_scaled = np.ldexp(h_full, exponent)
+
     def residuals(energies, vecs):
-        return [np.linalg.norm(h_full @ vec - e * vec) for e, vec in zip(energies, vecs)]
+        return [math.ldexp(np.linalg.norm(h_scaled @ vec - math.ldexp(e, exponent) * vec), -exponent)
+                for e, vec in zip(energies, vecs)]
 
     header = (
         "index", "eigenvalue_analytic", "eigenvalue_numeric",
@@ -265,7 +264,6 @@ def cmd_spectrum(cfg: dict) -> int:
 
 
 def cmd_evolve(cfg: dict) -> int:
-    _require_format(cfg, "csv", "evolve")
     params = _model_params(cfg)
     grid = _time_grid(cfg, params.omega)
     init = _initial_state(cfg)
@@ -280,7 +278,6 @@ def cmd_evolve(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
-    _require_format(cfg, "csv", "sweep")
     result = sweep_position(_geometry(cfg), _x1_grid(cfg), numeric_peaks=cfg.get("numeric_peaks", False))
     header = ["x1", "g1", "rddi", "ratio", "c_peak", "t_peak", "period"]
     columns = [result.x1, result.g1, result.rddi, result.ratio,
@@ -293,7 +290,6 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_mesh(cfg: dict) -> int:
-    _require_format(cfg, "csv", "mesh")
     x1_grid, t_grid, values = _mesh(cfg)
     columns = (np.repeat(x1_grid, t_grid.size), np.tile(t_grid, x1_grid.size), values.ravel())
     _emit(cfg, _csv(("x1", "t", "concurrence"), columns))
@@ -301,7 +297,6 @@ def cmd_mesh(cfg: dict) -> int:
 
 
 def cmd_peaks(cfg: dict) -> int:
-    _require_format(cfg, "csv", "peaks")
     params = _model_params(cfg)
     header = ("kind", "g1", "rddi", "ratio", "c_peak", "t_peak", "period")
     scan = cfg.get("scan_rddi")
@@ -319,7 +314,6 @@ def cmd_peaks(cfg: dict) -> int:
 
 
 def cmd_plot(cfg: dict) -> int:
-    _require_format(cfg, "svg", "plot")
     kind = cfg.get("kind", "evolve")
     if kind == "evolve":
         params = _model_params(cfg)
@@ -470,7 +464,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     output = shared.add_argument_group("output")
     output.add_argument("--config", help="flat key=value file, lower precedence than flags")
     output.add_argument("--out", help="output path, default standard output")
-    output.add_argument("--format", choices=("csv", "svg"))
     output.add_argument("--numeric-peaks", action="store_const", const=True,
                         help="sweep: add a full-g2 numeric peak column")
     output.add_argument("--kind", choices=("evolve", "sweep", "mesh"),

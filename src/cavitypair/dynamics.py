@@ -318,16 +318,17 @@ def closed_form_concurrence(g1: float, rddi: float, t):
 def peak_times(g1: float, rddi: float, m_max: int = 1) -> np.ndarray:
     """Times (3m +/- 1) pi / (3 Omega) of the concurrence maxima, m = 1, 3, ... m_max.
 
-    Each time is (3m +/- 1)/6 of the period 2 pi/Omega.  Raises
-    ParameterError for a non-finite coupling, and DegenerateModel, with no
-    warning, when Omega = 0 or the period or a peak time overflows.
+    Each time is (3m +/- 1)/2 times the first, period/3 (``peak_report``'s
+    ``t_peak``, bit for bit).  Raises ParameterError for a non-finite
+    coupling, and DegenerateModel, with no warning, when Omega = 0 or inf,
+    or the period or a peak time overflows.
     """
     if m_max < 1 or m_max % 2 == 0:
         raise ParameterError(f"m_max = {m_max!r} must be an odd integer >= 1")
     period = _period(ModelParams(g1=g1, rddi=rddi).omega)
     ms = np.arange(1, m_max + 1, 2, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing time is refused below
-        times = np.sort(np.concatenate([3.0 * ms - 1.0, 3.0 * ms + 1.0]) / 6.0 * period)
+        times = np.sort(np.concatenate([3.0 * ms - 1.0, 3.0 * ms + 1.0]) / 2.0 * (period / 3.0))
     if np.isinf(times[-1]):
         raise DegenerateModel(f"peak time {3 * m_max + 1}/6 x period {period!r} overflows")
     return times
@@ -336,12 +337,15 @@ def peak_times(g1: float, rddi: float, m_max: int = 1) -> np.ndarray:
 def _period(omega):
     """Period 2 pi/Omega of the g2 = 0 model, for a float or an array Omega.
 
-    Raises DegenerateModel when Omega = 0 or when 2 pi/Omega would overflow;
-    Omega is compared before the division, so no overflow warning is printed.
+    Raises DegenerateModel when Omega = 0, when 2 pi/Omega would overflow,
+    or when Omega itself overflowed to inf (the period would be 0); Omega is
+    compared before the division, so no overflow warning is printed.
     """
-    if _any(omega < _OMEGA_MIN):
+    if _any((omega < _OMEGA_MIN) | (omega == math.inf)):
         if _any(omega == 0.0):
             raise DegenerateModel("g1 = rddi = 0: period undefined")
+        if _any(omega == math.inf):
+            raise DegenerateModel("Omega = inf: sqrt(g1^2 + rddi^2) overflows")
         raise DegenerateModel(f"Omega = {float(np.min(omega))!r}: period 2 pi/Omega overflows")
     return 2.0 * math.pi / omega
 
@@ -350,29 +354,24 @@ def peak_report(params: ModelParams) -> PeakReport:
     """Closed-form peak height, first peak time, period and coupling ratio.
 
     Requires g2 = 0 and the photon-fed initial state.  Raises DegenerateModel
-    when Omega = 0 or 2 pi/Omega overflows, and ZeroCoupling when g1 = 0 (the
-    ratio Gamma/g1 would be undefined; no sentinel is substituted).  The
-    ratio is Gamma/g1 correctly rounded, so it is +-inf, with no warning,
-    where |Gamma/g1| exceeds the largest double (g1 = 1e-300, Gamma = 1e10);
-    the other fields stay finite there.
+    when Omega = 0 or inf or 2 pi/Omega overflows, and ZeroCoupling when
+    g1 = 0 (the ratio Gamma/g1 would be undefined; no sentinel is
+    substituted).  The first peak time is period/3.  The ratio is Gamma/g1
+    correctly rounded, so it is +-inf, with no warning, where |Gamma/g1|
+    exceeds the largest double (g1 = 1e-300, Gamma = 1e10); the other fields
+    stay finite there.
     """
     g1, g2, rddi = _values(params.g1), _values(params.g2), _values(params.rddi)
     if _any(g2 != 0.0):
         raise ParameterError("peak analytics are defined for g2 = 0 only")
-    omega = params.omega
-    period = _period(omega)
+    period = _period(params.omega)
     if _any(g1 == 0.0):
         raise ZeroCoupling("g1 = 0: ratio rddi/g1 undefined")
     height = peak_amplitude(g1, rddi) * _PEAK_SHAPE
-    # t_peak is 2 pi/(3 Omega), and period/3 only where 3 Omega overflows.
-    if isinstance(omega, float):
-        three_omega = 3.0 * omega
-        t_peak = 2.0 * math.pi / three_omega if three_omega < math.inf else period / 3.0
-        return PeakReport(t_peak, height, period, float(rddi) / float(g1))
+    if isinstance(period, float):
+        return PeakReport(period / 3.0, height, period, float(rddi) / float(g1))
     with np.errstate(over="ignore"):  # an overflowing ratio is +-inf, as for one model
-        three_omega = 3.0 * omega
-        t_peak = np.where(three_omega < math.inf, 2.0 * math.pi / three_omega, period / 3.0)
-        return PeakReport(t_peak, height, period, rddi / g1)
+        return PeakReport(period / 3.0, height, period, rddi / g1)
 
 
 def numeric_peak_concurrence(params: ModelParams):

@@ -48,9 +48,6 @@ class ZeroCoupling(ParameterError):
     """Atom-1 coupling is zero where a coupling ratio or denominator needs it."""
 
 
-DivisionByZeroCoupling = ZeroCoupling  # former name, kept for imports
-
-
 class InvalidDensityMatrix(NumericalContractError):
     """Density matrix violates Hermiticity, unit trace or positivity."""
 

@@ -70,14 +70,12 @@ class AnalyticSpectrum:
     ``dark`` is the zero-eigenvalue eigenvector (Gamma, 0, -g1)/Omega with the
     first non-zero component taken positive; ``bright_plus``/``bright_minus``
     are (g1, +/-Omega, Gamma)/(sqrt(2) Omega) with eigenvalues +/-Omega.
-    ``ratio_gamma`` is g1/Gamma (inf when Gamma = 0).
     """
 
     omega: float
     dark: np.ndarray
     bright_plus: np.ndarray
     bright_minus: np.ndarray
-    ratio_gamma: float
 
 
 def build_single_excitation_h(params: ModelParams) -> np.ndarray:
@@ -101,10 +99,10 @@ def build_single_excitation_h(params: ModelParams) -> np.ndarray:
 def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
     """Closed-form eigensystem for the g2 = 0 Hamiltonian.
 
-    Requires params.g2 == 0 and Omega > 0 (raises DegenerateModel when both
-    couplings vanish).  Satisfies H dark = 0 and H bright_pm = +/-Omega
-    bright_pm to machine precision; cross-checked against the numerical
-    eigensolver by the test suite.
+    Requires params.g2 == 0 and a finite Omega > 0 (raises DegenerateModel
+    when both couplings vanish or Omega overflows).  Satisfies H dark = 0
+    and H bright_pm = +/-Omega bright_pm to machine precision; cross-checked
+    against the numerical eigensolver by the test suite.
     """
     if params.g2 != 0.0:
         raise ParameterError("analytic spectrum is defined for g2 = 0 only")
@@ -112,25 +110,22 @@ def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
     omega = params.omega
     if omega == 0.0:
         raise DegenerateModel("g1 = rddi = 0: no bright doublet, period undefined")
+    if omega == math.inf:
+        raise DegenerateModel("Omega = inf: sqrt(g1^2 + rddi^2) overflows")
 
     dark = np.array([gamma, 0.0, -g1]) / omega
     # Sign convention: first non-zero component positive; flipping only the
     # non-zero entries keeps the zeros +0 (a negated 0 would print as -0).
     sign = math.copysign(1.0, dark[np.nonzero(dark)[0][0]])
     dark = np.where(dark == 0.0, 0.0, sign * dark)
-    root2 = math.sqrt(2.0)
-    bright_plus = np.array([g1, omega, gamma]) / (root2 * omega)
-    bright_minus = np.array([g1, -omega, gamma]) / (root2 * omega)
-    ratio_gamma = g1 / gamma if gamma != 0.0 else math.inf
+    # Numerator and denominator scaled by one power of two (exact), so that
+    # sqrt(2) Omega cannot overflow.
+    exponent = -math.frexp(omega)[1]
+    bright_plus = np.ldexp([g1, omega, gamma], exponent) / (math.sqrt(2.0) * math.ldexp(omega, exponent))
+    bright_minus = bright_plus * [1.0, -1.0, 1.0]
     for vec in (dark, bright_plus, bright_minus):
         vec.setflags(write=False)
-    return AnalyticSpectrum(
-        omega=omega,
-        dark=dark,
-        bright_plus=bright_plus,
-        bright_minus=bright_minus,
-        ratio_gamma=ratio_gamma,
-    )
+    return AnalyticSpectrum(omega=omega, dark=dark, bright_plus=bright_plus, bright_minus=bright_minus)
 
 
 def build_effective_h(params: ModelParams) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import warnings
@@ -5,8 +6,19 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavitypair import CavityGeometry, InitialState, NoConvergence, concurrence_series, params_at, sweep_position
+from cavitypair import (
+    CavityGeometry,
+    InitialState,
+    NoConvergence,
+    analytic_spectrum,
+    build_single_excitation_h,
+    concurrence_series,
+    params_at,
+    sweep_position,
+)
 from cavitypair import cli
 from cavitypair.cli import _merge_config, _shared_parser, build_parser, main
 from cavitypair.svgplot import raster_plot
@@ -20,6 +32,29 @@ def run_cli(*args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_within_contract(*args):
+    """Run the CLI and check the whole-domain contract; return the exit code.
+
+    Exit 0, 2 or 3, no traceback and no warning; an exit 0 prints no nan and
+    no inf but an overflowing ratio, any other exit one "error: " line.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(*args)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    if code == 0:  # only the ratio column may hold +-inf: |Gamma/g1| beyond the largest double
+        header, *lines = out.split("\n")
+        names = header.split(",")
+        ratio = names.index("ratio") if "ratio" in names else None
+        cells = [(k, cell) for line in lines for k, cell in enumerate(line.split(","))]
+        assert not any(cell == "nan" or (cell in ("inf", "-inf") and k != ratio) for k, cell in cells)
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    return code
 
 
 def parse_csv(text):
@@ -264,6 +299,25 @@ class TestSelftest:
         assert code == 3
         assert out == "PASS fine\nFAIL wrong\nFAIL crashed: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("name, broken", [
+        ("spectrum-oracle", {"analytic_spectrum": lambda p: dataclasses.replace(analytic_spectrum(p), omega=2.0)}),
+        ("spectrum-oracle", {"analytic_spectrum": lambda p: dataclasses.replace(analytic_spectrum(p),
+                                                                                dark=np.ones(3))}),
+        ("evolution-oracle", {"rk4_schrodinger": lambda h, psi0, t, dt: psi0}),
+        ("evolution-oracle", {"rk4_schrodinger": lambda h, psi0, t, dt: 2.0 * psi0,
+                              "evolve_spectral": lambda decomp, psi0, t: 2.0 * psi0}),
+        ("concurrence-equivalence", {"xstate_concurrence": lambda rho: 2.0}),
+        ("peak-placement", {"peak_times": lambda g1, rddi, m_max: np.zeros(1)}),
+        ("effective-model", {"build_effective_h": build_single_excitation_h}),
+    ])
+    def test_each_check_can_fail(self, monkeypatch, name, broken):
+        # Each check alone, with one dependency broken, prints its FAIL line.
+        check = [entry for entry in cli._selftest_checks() if entry[0] == name]
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: check)
+        for attribute, replacement in broken.items():
+            monkeypatch.setattr(cli, attribute, replacement)
+        assert run_cli("selftest") == (3, f"FAIL {name}\n", "")
+
 
 class TestPlot:
     def test_svg_well_formed_and_deterministic(self):
@@ -292,12 +346,6 @@ class TestPlot:
         with pytest.raises(ValueError, match="raster_plot expects a non-empty finite 2-d matrix"):
             raster_plot([[0.5, bad]], (0.0, 1.0), (0.0, 1.0), "t", "x1", "mesh")
 
-    def test_format_mismatch(self):
-        code, _, err = run_cli("plot", "--g1", "1", "--format", "csv")
-        assert code == 2
-        code, _, err = run_cli("spectrum", "--g1", "1", "--format", "svg")
-        assert code == 2
-
 
 class TestConfigHandling:
     def test_file_values_and_cli_precedence(self, tmp_path):
@@ -309,6 +357,12 @@ class TestConfigHandling:
         code, out, _ = run_cli("peaks", "--config", str(cfg), "--rddi", "0.5")
         header, rows = parse_csv(out)
         assert column(header, rows, "rddi") == [0.5]
+
+    def test_false_boolean_key_is_the_default(self, tmp_path):
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("numeric_peaks = off\n")
+        args = ("sweep", "--x1-steps", "5")
+        assert run_cli(*args, "--config", str(cfg)) == run_cli(*args)
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -408,7 +462,6 @@ class TestSingleSource:
         assert from_flags != run_cli("peaks")[1]
 
     @pytest.mark.parametrize("line, message", [
-        ("format = png", "format must be csv or svg, got 'png'"),
         ("kind = bar", "kind must be evolve, sweep or mesh, got 'bar'"),
         ("standing_wave = maybe", "{path}:1: bad value for standing_wave: 'maybe'"),
         ("t_steps = 1.5", "{path}:1: bad value for t_steps: '1.5'"),
@@ -475,22 +528,26 @@ class TestDomainEdges:
         (("peaks", "--g1", "1e-300", "--rddi", "1e10"), 0),
         (("sweep", "--x1-min", "26", "--x1-max", "27", "--x1-steps", "2"), 0),
         (("peaks", "--g1", "1e308", "--rddi", "1e308"), 0),
+        (("peaks", "--g1", "1.5e308", "--rddi", "1.5e308"), 2),
+        (("evolve", "--g1", "1.5e308", "--rddi", "1.5e308"), 2),
+        (("spectrum", "--g1", "1e200", "--rddi", "1e200"), 0),
+        (("spectrum", "--g1", "1e308", "--rddi", "1e308"), 0),
+        (("spectrum", "--g1", "1.5e308", "--rddi", "1.5e308"), 2),
     ])
     def test_exit_code_and_quiet(self, args, expected):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(*args)
-        assert code == expected
-        assert "Traceback" not in err
-        assert [str(w.message) for w in caught] == []
-        if code == 0:  # only the ratio column may hold +-inf: |Gamma/g1| beyond the largest double
-            header, *lines = out.split("\n")
-            names = header.split(",")
-            ratio = names.index("ratio") if "ratio" in names else None
-            cells = [(k, cell) for line in lines for k, cell in enumerate(line.split(","))]
-            assert not any(cell == "nan" or (cell in ("inf", "-inf") and k != ratio) for k, cell in cells)
-        else:
-            assert err.startswith("error: ") and err.count("\n") == 1
+        assert run_within_contract(*args) == expected
+
+    # Signed couplings log-uniform over the documented domain, and 0.  Values go
+    # as --g1=<v>: argparse reads "--g1 -1e-05" as a flag with its value missing.
+    COUPLING = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                                                 st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(g1=COUPLING, g2=COUPLING, rddi=COUPLING)
+    def test_whole_domain(self, g1, g2, rddi):
+        couplings = (f"--g1={g1!r}", f"--g2={g2!r}", f"--rddi={rddi!r}")
+        for command in (("spectrum",), ("peaks",), ("evolve", "--t-steps", "3")):
+            run_within_contract(*command, *couplings)
 
     def test_evolve_messages(self):
         _, _, err = run_cli("evolve", "--alpha-re", "1e200", "--beta-re", "1e200")
@@ -522,8 +579,10 @@ class TestDomainEdges:
         assert err == "error: DegenerateModel: Omega = 1e-320: period 2 pi/Omega overflows; pass --t-max\n"
         _, _, err = run_cli(command, "--g1", "0", "--rddi", "0")
         assert err == "error: DegenerateModel: g1 = rddi = 0: period undefined; pass --t-max\n"
+        _, _, err = run_cli(command, "--g1", "1.5e308", "--rddi", "1.5e308")
+        assert err == "error: DegenerateModel: Omega = inf: sqrt(g1^2 + rddi^2) overflows; pass --t-max\n"
 
-    @pytest.mark.parametrize("g1, rddi", [(-1.0, -0.5), (0.0, 1.0), (1.0, -0.5), (-0.3, 0.7)])
+    @pytest.mark.parametrize("g1, rddi", [(-1.0, -0.5), (0.0, 1.0), (1.0, -0.5), (-0.3, 0.7), (1e308, 1e308)])
     def test_spectrum_analytic_columns_share_the_numeric_gauge(self, g1, rddi):
         code, out, _ = run_cli("spectrum", "--g1", str(g1), "--rddi", str(rddi))
         assert code == 0
@@ -532,3 +591,12 @@ class TestDomainEdges:
             analytic = np.array(column(header, rows, f"{part}_analytic"))
             numeric = np.array(column(header, rows, f"{part}_numeric"))
             assert np.max(np.abs(analytic - numeric)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e308])
+    def test_spectrum_residuals_scale_with_the_couplings(self, scale):
+        # Neither overflows through H v or its squares (inf) nor underflows (0).
+        code, out, _ = run_cli("spectrum", f"--g1={scale!r}", f"--rddi={scale!r}")
+        assert code == 0
+        header, rows = parse_csv(out)
+        for name in ("residual_analytic", "residual_numeric"):
+            assert 0.0 < max(column(header, rows, name)) <= 1e-15 * scale

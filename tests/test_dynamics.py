@@ -23,6 +23,7 @@ from cavitypair import (
     evolve,
     evolve_spectral,
     hermitian_eigendecompose,
+    numeric_peak_concurrence,
     peak_height,
     peak_optimum,
     peak_report,
@@ -273,6 +274,17 @@ class TestPeakTimes:
         times = peak_times(3.5e-308, 0.0)
         np.testing.assert_allclose(times, np.array([2.0, 4.0]) * math.pi / (3.0 * 3.5e-308), rtol=1e-15)
 
+    def test_first_time_is_t_peak_bit_for_bit(self):
+        # One formula, period/3, on 1e4 models: Omega log-uniform over the domain,
+        # and 2000 where 3 Omega overflows (Omega above 6e307).
+        rng = np.random.default_rng(47)
+        omega = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 8000), rng.uniform(6e307, 1.7e308, 2000)])
+        angle = rng.uniform(0.0, 2.0 * math.pi, omega.size)
+        g1, rddi = omega * np.cos(angle), omega * np.sin(angle)
+        t_peak = peak_report(ModelParams(g1=g1, rddi=rddi)).t_peak
+        for a, b, want in zip(g1.tolist(), rddi.tolist(), t_peak.tolist()):
+            assert peak_times(a, b)[0] == peak_report(ModelParams(g1=a, rddi=b)).t_peak == want
+
 
 class TestPeakReport:
     def test_reference_values(self):
@@ -338,6 +350,17 @@ class TestPeriod:
         for omega in (0.0, np.array([1.0, 0.0, 1e-320])):
             with pytest.raises(DegenerateModel, match="^g1 = rddi = 0: period undefined$"):
                 dynamics._period(omega)
+
+    def test_infinite_omega_refused_quietly(self):
+        # Omega = hypot(1.5e308, 1.5e308) overflows to inf; 1e308 each stays finite.
+        params = ModelParams(g1=1.5e308, rddi=1.5e308)
+        calls = (lambda: peak_report(params), lambda: peak_times(1.5e308, 1.5e308),
+                 lambda: numeric_peak_concurrence(params), lambda: dynamics._period(np.array([1.0, math.inf])))
+        message = r"^Omega = inf: sqrt\(g1\^2 \+ rddi\^2\) overflows$"
+        for call in calls:
+            with np.errstate(all="raise"), pytest.raises(DegenerateModel, match=message):
+                call()
+        assert peak_report(ModelParams(g1=1e308, rddi=1e308)).period > 0.0
 
     def test_arrays_and_floats(self):
         assert dynamics._period(1.0) == 2.0 * math.pi

@@ -189,3 +189,10 @@ class TestWoottersChecks:
         with pytest.raises(InvalidDensityMatrix) as info:
             wootters_concurrence(rho)
         assert str(info.value) == "trace 1.1 deviates from 1 beyond 1e-10"
+
+    def test_concurrence_beyond_clamp_slack(self, monkeypatch):
+        # No density matrix gives these singular values: an excess over 1 beyond rounding is refused.
+        monkeypatch.setattr(np.linalg, "svd", lambda k, compute_uv: np.array([1.5, 0.0, 0.0, 0.0]))
+        with pytest.raises(InvalidDensityMatrix) as info:
+            wootters_concurrence(reduced_density(PEAK_STATE))
+        assert str(info.value) == "concurrence 1.5 exceeds 1 beyond clamp slack"

@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from cavitypair import (
     DegenerateModel,
-    DivisionByZeroCoupling,
     ModelParams,
     ParameterError,
+    ZeroCoupling,
     analytic_spectrum,
     build_effective_h,
     build_single_excitation_h,
@@ -80,14 +78,12 @@ class TestAnalyticSpectrum:
         np.testing.assert_allclose(s.dark, [0.0, 0.0, 1.0], atol=1e-15)
         np.testing.assert_allclose(s.bright_plus, [SQRT_HALF, SQRT_HALF, 0.0], atol=1e-15)
         np.testing.assert_allclose(s.bright_minus, [SQRT_HALF, -SQRT_HALF, 0.0], atol=1e-15)
-        assert s.ratio_gamma == math.inf
 
     def test_split_case(self):
         s = analytic_spectrum(ModelParams(g1=1.0, rddi=0.5))
         assert s.omega == pytest.approx(1.118033988749895, abs=1e-15)
         np.testing.assert_allclose(
             s.dark, [0.4472135954999579, 0.0, -0.8944271909999159], atol=1e-15)
-        assert s.ratio_gamma == pytest.approx(2.0, abs=1e-15)
 
     def test_exchange_limit(self):
         s = analytic_spectrum(ModelParams(g1=0.0, rddi=1.0))
@@ -97,6 +93,17 @@ class TestAnalyticSpectrum:
     def test_rejects_nonzero_g2(self):
         with pytest.raises(ValueError):
             analytic_spectrum(ModelParams(g1=1.0, g2=0.1, rddi=0.5))
+
+    def test_bright_pair_where_sqrt2_omega_overflows(self):
+        # Omega = 1.41e308 is finite, sqrt(2) Omega is not: the bright pair stays exact.
+        with np.errstate(all="raise"):
+            s = analytic_spectrum(ModelParams(g1=1e308, rddi=1e308))
+        np.testing.assert_allclose(s.bright_plus, [0.5, SQRT_HALF, 0.5], rtol=1e-15)
+        np.testing.assert_array_equal(s.bright_minus, s.bright_plus * [1.0, -1.0, 1.0])
+
+    def test_rejects_infinite_omega(self):
+        with np.errstate(all="raise"), pytest.raises(DegenerateModel, match="^Omega = inf: "):
+            analytic_spectrum(ModelParams(g1=1.5e308, rddi=1.5e308))
 
     def test_degenerate(self):
         with pytest.raises(DegenerateModel):
@@ -191,5 +198,5 @@ class TestEffectiveH:
         assert np.max(np.abs(out[:, 2])) <= 1e-12
 
     def test_rejects_zero_g1(self):
-        with pytest.raises(DivisionByZeroCoupling):
+        with pytest.raises(ZeroCoupling):
             build_effective_h(ModelParams(g1=0.0, rddi=0.5))
