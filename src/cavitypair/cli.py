@@ -301,7 +301,7 @@ def cmd_peaks(cfg: dict) -> int:
     header = ("kind", "g1", "rddi", "ratio", "c_peak", "t_peak", "period")
     scan = cfg.get("scan_rddi")
     rddi = np.array([params.rddi]) if scan is None else _parse_scan(scan)
-    peaks = peak_report(ModelParams(g1=params.g1, rddi=rddi))
+    peaks = peak_report(ModelParams(g1=params.g1, g2=cfg.get("g2", 0.0), rddi=rddi))
     kind = "report" if scan is None else "scan"
     rows = [(kind, params.g1) + row for row in zip(rddi, peaks.ratio, peaks.c_peak, peaks.t_peak, peaks.period)]
     if scan is not None:
@@ -343,15 +343,14 @@ def _selftest_checks():
     rng = np.random.default_rng(20250823)
 
     def spectrum_oracle():
-        for g1, rddi in rng.uniform(0.05, 1.0, size=(50, 2)):
-            params = ModelParams(g1=g1, rddi=rddi)
-            spectrum = analytic_spectrum(params)
-            h = build_single_excitation_h(params)
-            decomp = hermitian_eigendecompose(h)
-            expected = np.array([-spectrum.omega, 0.0, spectrum.omega])
-            if np.max(np.abs(decomp.eigenvalues - expected)) > 1e-12:
+        g1s, rddis = rng.uniform(0.05, 1.0, size=(2, 50))
+        h = build_single_excitation_h(ModelParams(g1=g1s, rddi=rddis))
+        eigenvalues = hermitian_eigendecompose(h).eigenvalues
+        for g1, rddi, h_k, values in zip(g1s, rddis, h, eigenvalues):
+            spectrum = analytic_spectrum(ModelParams(g1=g1, rddi=rddi))
+            if np.max(np.abs(values - [-spectrum.omega, 0.0, spectrum.omega])) > 1e-12:
                 return False
-            if np.linalg.norm(h @ spectrum.dark) > 1e-12 * max(g1, rddi):
+            if np.linalg.norm(h_k @ spectrum.dark) > 1e-12 * max(g1, rddi):
                 return False
         return True
 
@@ -371,26 +370,23 @@ def _selftest_checks():
         return True
 
     def concurrence_equivalence():
-        for _ in range(200):
-            g1, rddi = rng.uniform(0.05, 1.0, size=2)
-            t = rng.uniform(0.0, 20.0)
-            psi = evolve(ModelParams(g1=g1, rddi=rddi), InitialState(), t)
-            rho = reduced_density(psi)
-            if abs(wootters_concurrence(rho) - xstate_concurrence(rho)) > 1e-10:
-                return False
-        return True
+        g1, rddi = rng.uniform(0.05, 1.0, size=(2, 200))
+        states = evolve(ModelParams(g1=g1, rddi=rddi), InitialState(), rng.uniform(0.0, 20.0, size=(200, 1)))
+        rhos = map(reduced_density, states[:, 0])
+        return all(abs(wootters_concurrence(rho) - xstate_concurrence(rho)) <= 1e-10 for rho in rhos)
 
     def peak_placement():
-        for g1, rddi in rng.uniform(0.1, 1.0, size=(5, 2)):
-            params = ModelParams(g1=g1, rddi=rddi)
-            period = _period(params.omega)
-            grid = np.linspace(0.0, 3.0 * period, 3 * 10_000 + 1)
-            series = concurrence_series(params, InitialState(), grid)
+        g1s, rddis = rng.uniform(0.1, 1.0, size=(2, 5))
+        params = ModelParams(g1=g1s, rddi=rddis)
+        periods = _period(params.omega)
+        grids = np.linspace(0.0, 3.0 * periods, 3 * 10_000 + 1, axis=-1)
+        values = _model_concurrence(params, InitialState(), grids)
+        for g1, rddi, period, grid, series in zip(g1s, rddis, periods, grids, values):
             step = grid[1] - grid[0]
             for t_formula in peak_times(g1, rddi, m_max=5):
                 window = (grid > t_formula - period / 4.0) & (grid < t_formula + period / 4.0)
                 local = np.where(window)[0]
-                t_grid_peak = grid[local[np.argmax(series.values[local])]]
+                t_grid_peak = grid[local[np.argmax(series[local])]]
                 if abs(t_grid_peak - t_formula) > step:
                     return False
         return True

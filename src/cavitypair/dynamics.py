@@ -305,12 +305,15 @@ def closed_form_concurrence(g1: float, rddi: float, t):
 
     Closed form for the photon-fed initial state (alpha = 1, beta = 0) with
     g2 = 0.  Accepts scalar or array t.  Raises DegenerateModel when
-    g1 = rddi = 0.
+    g1 = rddi = 0, and ParameterError, with no warning, when a phase
+    Omega t is not finite (Omega overflowing to inf included).
     """
     omega = ModelParams(g1=g1, rddi=rddi).omega  # checks the couplings: finite
     if omega == 0.0:
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
-    phase = omega * np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
+    _require_finite_phase(np.asarray(omega), t)
+    phase = omega * t
     out = peak_amplitude(g1, rddi) * np.abs(np.sin(phase)) * (1.0 - np.cos(phase))
     return float(out) if out.ndim == 0 else out
 

@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidDensityMatrix, NonHermitianInput, PatternMismatch
-from .qmath import HERMITICITY_RTOL, _dagger, _eigendecompose, _entry_max, _require_within
+from .errors import InvalidDensityMatrix, PatternMismatch
+from .qmath import hermitian_eigendecompose, hermiticity_defect
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -46,21 +46,21 @@ SPIN_FLIP = np.array(
 )
 
 
-def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """A finite 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace, and its Hermiticity defect.
+def _as_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """A finite 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace.
 
     Any NaN or infinite entry makes the defect NaN or infinite, which fails the Hermiticity bound.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
-    defect = _entry_max(rho - _dagger(rho))
+    defect = hermiticity_defect(rho)
     if not defect <= HERMITICITY_TOL:
         raise InvalidDensityMatrix(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
     trace = float(rho.trace().real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidDensityMatrix(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL:.0e}")
-    return rho, defect
+    return rho
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -80,11 +80,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
         If the Hermiticity defect, within the absolute 1e-12, still exceeds
         1e-12 * max|rho_ij| (the eigensolver's relative bound).
     """
-    rho, defect = _as_density_matrix(rho)
-    # The eigensolver's own relative Hermiticity bound, on the defect computed above.
-    scale = _entry_max(rho)
-    _require_within(defect, HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
-    decomp = _eigendecompose(rho, scale)
+    decomp = hermitian_eigendecompose(_as_density_matrix(rho))
     eigenvalues = decomp.eigenvalues
     if eigenvalues[0] < -PSD_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues[0]!r} beyond -{PSD_TOL:.0e}")
@@ -117,7 +113,7 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     otherwise.  Agrees with ``wootters_concurrence`` to 1e-10 on every state
     produced by the reduced-density pipeline.
     """
-    r = _as_density_matrix(rho)[0].tolist()  # finite entries: Python arithmetic from here on
+    r = _as_density_matrix(rho).tolist()  # finite entries: Python arithmetic from here on
     stray = max(abs(r[i][j]) for i, j in _OFF_PATTERN)
     if stray > PATTERN_TOL:
         raise PatternMismatch(f"off-pattern element of magnitude {stray:.3e} present")

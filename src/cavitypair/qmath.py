@@ -106,10 +106,10 @@ def _require_finite_phase(frequencies: np.ndarray, t: np.ndarray) -> None:
     raise ParameterError(f"phase max|E| max|t| = {phase!r} is not finite")
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Return max |m[i,j] - conj(m[j,i])|, the distance from Hermiticity."""
+def hermiticity_defect(m: np.ndarray):
+    """max |m[i,j] - conj(m[j,i])|, the distance from Hermiticity: a float, or an array for a stack (one per matrix)."""
     m = np.asarray(m)
-    return _abs_max(m - _dagger(m))
+    return _entry_max(m - _dagger(m))
 
 
 def _require_square(m: np.ndarray) -> None:
@@ -128,8 +128,7 @@ def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
     _require_square(m)
     scale = _entry_max(m)
-    _require_within(_entry_max(m - _dagger(m)), HERMITICITY_RTOL * scale,
-                    NonHermitianInput, "Hermiticity defect")
+    _require_within(hermiticity_defect(m), HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
     return m, scale
 
 

@@ -318,6 +318,26 @@ class TestSelftest:
             monkeypatch.setattr(cli, attribute, replacement)
         assert run_cli("selftest") == (3, f"FAIL {name}\n", "")
 
+    @pytest.mark.parametrize("name, attribute", [
+        ("spectrum-oracle", "hermitian_eigendecompose"),
+        ("concurrence-equivalence", "evolve"),
+        ("peak-placement", "_model_concurrence"),
+    ])
+    def test_one_stacked_call_per_check(self, monkeypatch, name, attribute):
+        # The check runs its models through one call of the batched function.
+        calls = []
+        batched = getattr(cli, attribute)
+
+        def counted(*args):
+            calls.append(args)
+            return batched(*args)
+
+        check = [entry for entry in cli._selftest_checks() if entry[0] == name]
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: check)
+        monkeypatch.setattr(cli, attribute, counted)
+        assert run_cli("selftest") == (0, f"PASS {name}\n", "")
+        assert len(calls) == 1
+
 
 class TestPlot:
     def test_svg_well_formed_and_deterministic(self):
@@ -533,6 +553,9 @@ class TestDomainEdges:
         (("spectrum", "--g1", "1e200", "--rddi", "1e200"), 0),
         (("spectrum", "--g1", "1e308", "--rddi", "1e308"), 0),
         (("spectrum", "--g1", "1.5e308", "--rddi", "1.5e308"), 2),
+        (("peaks", "--g1", "1", "--g2", "0.5", "--rddi", "0.5"), 2),
+        (("peaks", "--g1", "1", "--g2=-1e-300", "--scan-rddi", "0:1:3"), 2),
+        (("peaks", "--g1", "1", "--g2", "0", "--rddi", "0.5"), 0),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         assert run_within_contract(*args) == expected
@@ -548,6 +571,15 @@ class TestDomainEdges:
         couplings = (f"--g1={g1!r}", f"--g2={g2!r}", f"--rddi={rddi!r}")
         for command in (("spectrum",), ("peaks",), ("evolve", "--t-steps", "3")):
             run_within_contract(*command, *couplings)
+
+    def test_peaks_refuses_g2(self, tmp_path):
+        refusal = (2, "", "error: ParameterError: peak analytics are defined for g2 = 0 only\n")
+        assert run_cli("peaks", "--g1", "1", "--g2", "0.5", "--rddi", "0.5") == refusal
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g1 = 1\ng2 = 0.5\nrddi = 0.5\n")
+        assert run_cli("peaks", "--config", str(cfg)) == refusal
+        assert run_cli("peaks", "--g1", "1", "--g2", "0", "--rddi", "0.5") == run_cli("peaks", "--g1", "1",
+                                                                                       "--rddi", "0.5")
 
     def test_evolve_messages(self):
         _, _, err = run_cli("evolve", "--alpha-re", "1e200", "--beta-re", "1e200")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,28 @@ def initial_state(mix: float, phase: float) -> InitialState:
 def state_route_concurrence(params: ModelParams, init: InitialState, t):
     psi = evolve_spectral(hermitian_eigendecompose(build_single_excitation_h(params)), init.vector(), t)
     return np.minimum(2.0 * np.abs(psi[..., 1] * np.conj(psi[..., 2])), 1.0)
+
+
+class TestClosedFormDomain:
+    # Couplings signed log-uniform over the documented domain and times log-uniform, each also 0.
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(g1=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING), rddi=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING),
+           t=st.one_of(st.just(0.0), st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)))
+    def test_in_unit_interval_or_refused(self, g1, rddi, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = closed_form_concurrence(g1, rddi, t)
+            except CavityPairError:
+                return
+        assert 0.0 <= value <= 1.0
+
+    def test_non_finite_phase_refused(self):
+        for g1, rddi, t in ((1.5e308, 1.5e308, 1.0), (10.0, 1.0, 1e308), (1.0, 0.5, math.nan)):
+            with pytest.raises(ParameterError, match="is not finite$"):
+                closed_form_concurrence(g1, rddi, t)
+        with pytest.raises(DegenerateModel):
+            closed_form_concurrence(0.0, 0.0, math.inf)
 
 
 class TestConcurrenceKernel:

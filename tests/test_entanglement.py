@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitypair import (
     InitialState,
@@ -15,6 +19,9 @@ from cavitypair import (
 
 PEAK_STATE = np.array([-0.2, -0.7745966692414834j, -0.6])
 PEAK_CONCURRENCE = 0.9295160030897797  # 2 * 0.6 * 0.7745966692414834
+
+SIGNED_LOG_COUPLING = st.tuples(st.floats(min_value=-300.0, max_value=300.0), st.sampled_from((-1.0, 1.0))).map(
+    lambda p: p[1] * 10.0 ** p[0])
 
 
 def single_coherence_rho(populations, coherence):
@@ -159,6 +166,20 @@ class TestFastPathAgreement:
             psi = evolve(ModelParams(g1=g1, rddi=rddi), init, rng.uniform(0.0, 10.0))
             rho = reduced_density(psi)
             assert abs(wootters_concurrence(rho) - xstate_concurrence(rho)) <= 1e-10
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(g1=SIGNED_LOG_COUPLING, g2=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING), rddi=SIGNED_LOG_COUPLING,
+           mix=st.floats(min_value=0.0, max_value=1.0), phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+           tau=st.floats(min_value=0.0, max_value=50.0))
+    def test_over_the_whole_domain(self, g1, g2, rddi, mix, phase, tau):
+        # Times in units of the largest |coupling|, so every phase E t stays below about 100.
+        beta = math.sqrt(mix) * complex(math.cos(phase), math.sin(phase))
+        init = InitialState(alpha=math.sqrt(1.0 - mix), beta=beta)
+        psi = evolve(ModelParams(g1=g1, g2=g2, rddi=rddi), init, tau / max(abs(g1), abs(g2), abs(rddi)))
+        rho = reduced_density(psi)
+        general, fast = wootters_concurrence(rho), xstate_concurrence(rho)
+        assert 0.0 <= general <= 1.0 and 0.0 <= fast <= 1.0
+        assert abs(general - fast) <= 1e-10
 
 
 class TestWoottersChecks:

@@ -81,6 +81,15 @@ class TestEigendecompose:
         with pytest.raises(NonHermitianInput):
             hermitian_eigendecompose(m)
 
+    def test_defect_of_a_stack_is_per_matrix(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 1] = 1.0
+        stack[2, 1, 0] = 2j
+        defect = hermiticity_defect(stack)
+        assert isinstance(defect, np.ndarray)
+        np.testing.assert_array_equal(defect, [0.0, 1.0, 2.0])
+        assert isinstance(hermiticity_defect(stack[2]), float)
+
     def test_rejects_non_square_and_oversized(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eigendecompose(np.zeros((2, 3)))
