@@ -112,12 +112,6 @@ def hermiticity_defect(m: np.ndarray):
     return _entry_max(m - _dagger(m))
 
 
-def _require_square(m: np.ndarray) -> None:
-    """DimensionMismatch unless m is one square matrix or a 1-d stack of them."""
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
-
-
 def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|.
 
@@ -126,7 +120,8 @@ def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(m)
     m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
-    _require_square(m)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
     scale = _entry_max(m)
     _require_within(hermiticity_defect(m), HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
     return m, scale
@@ -169,11 +164,7 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     NoConvergence
         If the backend fails or the residual/orthonormality bound is violated.
     """
-    return _eigendecompose(*_require_hermitian(m))
-
-
-def _eigendecompose(m: np.ndarray, scale) -> SpectralDecomposition:
-    """``hermitian_eigendecompose`` of a matrix already checked Hermitian, with its max|m_ij| ``scale``."""
+    m, scale = _require_hermitian(m)
     n = m.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavitypair import dynamics
+from cavitypair import cli, dynamics, qmath
 from cavitypair import (
+    CavityGeometry,
     CavityPairError,
     DegenerateModel,
     DimensionMismatch,
@@ -24,6 +25,7 @@ from cavitypair import (
     evolve,
     evolve_spectral,
     hermitian_eigendecompose,
+    mesh,
     numeric_peak_concurrence,
     peak_height,
     peak_optimum,
@@ -114,6 +116,29 @@ class TestEvolve:
             evolve(params, InitialState(), 1.0)
         with pytest.raises(DimensionMismatch, match=message):
             concurrence_series(params, InitialState(), [0.0, 1.0])
+
+
+def test_every_eigensolve_is_checked_hermitian(monkeypatch):
+    calls = {"eigh": 0, "defect": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(qmath, "hermiticity_defect", counted("defect", qmath.hermiticity_defect))
+    grid = ModelParams(g1=np.array([1.0, 0.4]), g2=0.3, rddi=np.array([0.5, 0.2]))
+    evolve(P_REF, InitialState(), 1.0)
+    evolve(grid, InitialState(), [0.0, 1.0])
+    concurrence_series(P_REF, InitialState(), [0.0, 1.0])
+    mesh(CavityGeometry(), np.linspace(-1.0, 1.0, 3), [0.0, 1.0])
+    numeric_peak_concurrence(grid)
+    for argv in (["evolve", "--t-steps", "5"], ["mesh", "--x1-steps", "3", "--t-steps", "4"],
+                 ["sweep", "--numeric-peaks", "--x1-steps", "3"]):
+        assert cli.main(argv) == 0
+    assert calls["eigh"] == calls["defect"] > 0
 
 
 class TestReducedDensity:
@@ -476,6 +501,10 @@ def test_peak_analytics_scale_free(scale):
     rddi_opt, c_max = scan_peak_optimum(scale)
     assert abs(rddi_opt / scale - 1.0 / math.sqrt(2.0)) <= 1e-6
     assert abs(c_max - 1.0) <= 1e-6
+
+
+def test_amplitude_clamp_keeps_the_peak_height_at_most_one():
+    assert dynamics._AMPLITUDE_MAX * dynamics._PEAK_SHAPE <= 1.0
 
 
 def test_peak_amplitude_matches_a_200_bit_reference():

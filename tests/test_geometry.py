@@ -279,6 +279,44 @@ def dense_peak(g1, g2, rddi):
     return best
 
 
+def exact_peak(g1, g2, rddi, period):
+    """Maximum of C over [0, period] from a 40-digit mpmath eigendecomposition of H.
+
+    Every local maximum of a float64 grid of spacing 0.05/W within 1e-6 of the
+    grid's best is refined by a secant search for a zero of d(|b|^2 |c|^2)/dt
+    at 40 digits; the window's end t = period is evaluated as well.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    energies, vectors = np.linalg.eigh(np.array([[0.0, g1, g2], [g1, 0.0, rddi], [g2, rddi, 0.0]]))
+    t = np.linspace(0.0, period, int(period * (energies[-1] - energies[0]) / 0.05) + 2)
+    psi = (np.exp(-1j * t[:, None] * energies) * vectors[0]) @ vectors.T
+    c = np.abs(psi[:, 1] * psi[:, 2])
+    inner = np.flatnonzero((c[1:-1] >= c[:-2]) & (c[1:-1] >= c[2:])) + 1
+    with mpmath.workdps(40):
+        e, v = mpmath.eigsy(mpmath.matrix([[0, g1, g2], [g1, 0, rddi], [g2, rddi, 0]]))
+        weights = [[v[r, j] * v[0, j] for j in range(3)] for r in (1, 2)]
+
+        def amplitudes(t):  # (b, db/dt) and (c, dc/dt)
+            phases = [mpmath.expj(-e[j] * t) for j in range(3)]
+            return [(mpmath.fsum(w[j] * phases[j] for j in range(3)),
+                     mpmath.fsum(-1j * e[j] * w[j] * phases[j] for j in range(3))) for w in weights]
+
+        def slope(t):
+            (b, db), (c, dc) = amplitudes(t)
+            return mpmath.re(db * mpmath.conj(b)) * abs(c) ** 2 + abs(b) ** 2 * mpmath.re(dc * mpmath.conj(c))
+
+        def conc(t):
+            (b, _), (c, _) = amplitudes(t)
+            return 2 * abs(b) * abs(c)
+
+        best = conc(mpmath.mpf(period))
+        for t0 in t[inner[c[inner] >= (1.0 - 1e-6) * c.max()]]:
+            t_max = mpmath.findroot(slope, (mpmath.mpf(t0), mpmath.mpf(t0) * (1 + mpmath.mpf(10) ** -6)))
+            assert 0 <= t_max <= period
+            best = max(best, conc(t_max))
+        return float(best)
+
+
 NEAR_WAIST = CavityGeometry(x2=-0.5)
 
 
@@ -309,6 +347,15 @@ class TestNumericPeak:
         want = dense_peak(p.g1, p.g2, p.rddi)
         assert abs(numeric_peak_concurrence(p) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("geo, x1", [(GEO, -2.0), (NEAR_WAIST, -1.5), (NEAR_WAIST, 0.5), (NEAR_WAIST, 1.8)],
+                             ids=["default-x1=-2", "x2=-0.5-x1=-1.5", "x2=-0.5-x1=0.5", "x2=-0.5-x1=1.8"])
+    def test_matches_a_40_digit_reference(self, geo, x1):
+        # Measured: +7.8e-16, +2.1e-16, -2.2e-16 and -2.1e-15 relative, in this order;
+        # the first two lie above the exact maximum.
+        p = params_at(geo, x1)
+        want = exact_peak(p.g1, p.g2, p.rddi, dynamics._period(p.omega))
+        assert abs(numeric_peak_concurrence(p) - want) <= 5e-15 * want
+
     def test_never_above_one_near_the_optimum(self):
         # Gamma within 1e-6 relative of g1/sqrt(2), where C's rounding reached 1 + 7 ulp
         u = np.linspace(-1.0, 1.0, 2001)
@@ -332,7 +379,7 @@ class TestNumericPeak:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(dynamics, "_eigendecompose", counted("decompose", dynamics._eigendecompose))
+        monkeypatch.setattr(dynamics, "hermitian_eigendecompose", counted("decompose", dynamics.hermitian_eigendecompose))
         monkeypatch.setattr(dynamics, "_atom_weights", counted("weights", dynamics._atom_weights))
         # NEAR_WAIST runs the kernel many times: coarse slices, then zoom rounds.
         numeric_peak_concurrence(params_at(NEAR_WAIST, np.linspace(-3.0, 3.0, 9)))
