@@ -19,6 +19,7 @@ the ratio Gamma/g1 is maximal (exactly 1) at Gamma = g1/sqrt(2).
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -479,12 +480,21 @@ def scan_peak_optimum(g1: float) -> tuple[float, float]:
     Each round evaluates ``peak_height`` on _SCAN_POINTS equally spaced ratios
     of the bracket at once and keeps the two intervals around the largest,
     so the bracket shrinks 64-fold per round (5 rounds), down to sqrt(eps)
-    relative, below which a smooth maximum cannot be located.  Independent
-    of ``peak_optimum``; used as its numerical cross-check (agreement to
-    1e-6 is asserted by the tests).
+    relative, below which a smooth maximum cannot be located.  The zoom does
+    not depend on g1: it runs once per process, at the first call, and later
+    calls only scale the cached ratio by g1 (concurrent first calls may each
+    run it, with identical results).  Independent of ``peak_optimum``; used
+    as its numerical cross-check (agreement to 1e-6 is asserted by the tests).
     """
     if not 0.0 < g1 < math.inf:
         raise ParameterError(f"g1 = {g1!r} must be finite and positive")
+    ratio, height = _scan_ratio_optimum()
+    return g1 * ratio, height
+
+
+@functools.cache
+def _scan_ratio_optimum() -> tuple[float, float]:
+    """The bracket zoom of ``scan_peak_optimum`` on Gamma/g1: the best ratio and its height."""
     a, b = _SCAN_BRACKET
     fraction = np.linspace(0.0, 1.0, _SCAN_POINTS)
     while True:
@@ -493,4 +503,4 @@ def scan_peak_optimum(g1: float) -> tuple[float, float]:
         k = int(np.argmax(heights))
         a, b = r[max(k - 1, 0)], r[min(k + 1, _SCAN_POINTS - 1)]
         if b - a <= _SQRT_EPS * (a + b):
-            return g1 * float(r[k]), float(heights[k])
+            return float(r[k]), float(heights[k])

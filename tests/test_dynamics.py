@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -453,8 +455,28 @@ class TestPeakOptimum:
             return peak_height(g1, rddi)
 
         monkeypatch.setattr(dynamics, "peak_height", counted)
-        scan_peak_optimum(1.0)
+        dynamics._scan_ratio_optimum.cache_clear()
+        ratio, height = scan_peak_optimum(1.0)
         assert 1 <= len(calls) <= 8
+        # The zoom is g1-independent and cached: a later call at another g1
+        # evaluates nothing and scales the cold ratio by g1, bit for bit.
+        calls.clear()
+        assert scan_peak_optimum(3.7) == (3.7 * ratio, height)
+        assert calls == []
+
+    def test_numeric_scan_zooms_at_first_call_not_at_import(self):
+        # A fresh interpreter: importing the package and running a command
+        # that never asks for the optimum must leave the zoom's cache empty.
+        probe = ("import contextlib, io\n"
+                 "import cavitypair\n"
+                 "from cavitypair import cli, dynamics\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    assert cli.main(['spectrum']) == 0\n"
+                 "print(dynamics._scan_ratio_optimum.cache_info().currsize)\n"
+                 "cavitypair.scan_peak_optimum(1.0)\n"
+                 "print(dynamics._scan_ratio_optimum.cache_info().currsize)\n")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert run.stdout == "0\n1\n"
 
     def test_rejects_nonpositive_g1(self):
         with pytest.raises(ValueError):
