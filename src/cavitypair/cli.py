@@ -467,24 +467,18 @@ def _shared_parser() -> argparse.ArgumentParser:
     return shared
 
 
+# Command NAME runs cmd_NAME, looked up when it runs (so a replaced module attribute takes effect).
+COMMANDS = ("spectrum", "evolve", "sweep", "mesh", "peaks", "selftest", "plot")
+
+
 def build_parser(shared: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The command parser; every subcommand takes the options of ``shared``."""
+    """The command parser: a command from ``COMMANDS``, before or among the options of ``shared``."""
     parser = argparse.ArgumentParser(
         prog="cavitypair",
         description="Single-excitation cavity pair dynamics: spectra, concurrence, sweeps.",
+        parents=[shared],
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "spectrum": cmd_spectrum,
-        "evolve": cmd_evolve,
-        "sweep": cmd_sweep,
-        "mesh": cmd_mesh,
-        "peaks": cmd_peaks,
-        "selftest": cmd_selftest,
-        "plot": cmd_plot,
-    }
-    for name, handler in handlers.items():
-        commands.add_parser(name, parents=[shared]).set_defaults(handler=handler)
+    parser.add_argument("command", choices=COMMANDS)
     return parser
 
 
@@ -492,7 +486,7 @@ def main(argv=None) -> int:
     shared = _shared_parser()
     args = build_parser(shared).parse_args(argv)
     try:
-        return args.handler(_merge_config(args, shared._actions))
+        return globals()[f"cmd_{args.command}"](_merge_config(args, shared._actions))
     except NumericalContractError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

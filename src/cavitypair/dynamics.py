@@ -54,16 +54,15 @@ _SQRT_EPS = 1.5e-8
 # numeric search of 1.0e8 kernel points (9.4-10.4 s and 8.9-9.5 s against
 # 8.6-9.8 s).
 _KERNEL_POINTS = 8192
-# Numeric peak search: cells of round 0 per period, the W * cell width of the
-# a-priori breadth bound (W the spectral width), the most cells of that width
-# one call may span in all (bounds the run time at any W/Omega), points
-# evaluated per slice (bounds the kernel's memory), the factor by which each
-# round refines a kept cell, and the W * cell width at which refinement stops
-# (C is then exact to about eps).
+# Numeric peak search (which runs one kernel slice per kernel call): cells of
+# round 0 per period, the W * cell width of the a-priori breadth bound (W the
+# spectral width), the most cells of that width one call may span in all
+# (bounds the run time at any W/Omega), the factor by which each round
+# refines a kept cell, and the W * cell width at which refinement stops (C is
+# then exact to about eps).
 _COARSE_INTERVALS = 64
 _COARSE_WH = 0.2
 _COARSE_SAMPLES_MAX = 2**27
-_SLICE_POINTS = 2**18
 _REFINE_POINTS = 8
 _ZOOM_STOP = 5e-8
 # Smallest Omega whose period 2 pi/Omega is finite (division is monotone).
@@ -390,13 +389,14 @@ def numeric_peak_concurrence(params: ModelParams):
     W d <= 5e-8.  The result is an attained value of the float64 kernel,
     never above that kernel's own maximum, and within a few eps relative of
     the exact one on either side (-2.1e-15 to +7.8e-16 against a 40-digit
-    reference on four rows).  Work runs in slices of at
-    most 2^18 points.  The breadth is bounded a priori by n, the larger of
-    64 and period W/0.2 (cells of width 0.2/W): a call whose n + 1 summed
-    over its models ("coarse samples") exceeds 2^27 raises ParameterError
-    before any sample, so memory and run time stay bounded at any W/Omega.
-    Below the eigensolver's floor (``_concurrence``: Gamma under about
-    1.5e-154 at g1 = 1) the kernel gives C = 0, and so does the search.
+    reference on four rows).  Work runs in kernel slices of
+    _KERNEL_POINTS = 8192 points.  The breadth is bounded a priori by n,
+    the larger of 64 and period W/0.2 (cells of width 0.2/W): a call whose
+    n + 1 summed over its models ("coarse samples") exceeds 2^27 raises
+    ParameterError before any sample, so memory and run time stay bounded
+    at any W/Omega.  Below the eigensolver's floor (``_concurrence``: Gamma
+    under about 1.5e-154 at g1 = 1) the kernel gives C = 0, and so does the
+    search.
     """
     period = _period(params.omega)
     h = build_single_excitation_h(params)
@@ -430,7 +430,7 @@ def numeric_peak_concurrence(params: ModelParams):
     while rows.size:
         slack, refine = curvature * (width * d) ** 2, width * d > _ZOOM_STOP
         found = []
-        step = _SLICE_POINTS // points.size
+        step = _KERNEL_POINTS // points.size
         for s in range(0, rows.size, step):
             sub = rows[s:s + step]
             u = first[s:s + step, None] + points

@@ -20,11 +20,9 @@ def _fmt(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
-def _rect(x, y, w, h, fill: str, stroke: str = "none") -> str:
-    return (
-        f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-        f'fill="{fill}" stroke="{stroke}"/>'
-    )
+def _rect(x: str, y: str, w: str, h: str, fill: str, stroke: str = "none") -> str:
+    """A rectangle from coordinates already through ``_fmt``."""
+    return f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}" stroke="{stroke}"/>'
 
 
 def _text(x, y, content: str, size: int = 12, *, anchor: str) -> str:
@@ -50,7 +48,7 @@ def _axis_frame(title: str, x_label: str, y_label: str, x_range, y_range) -> lis
     x1, y1 = WIDTH - MARGIN, MARGIN
     return [
         _text(WIDTH / 2, MARGIN / 2, title, size=14, anchor="middle"),
-        _rect(x0, y1, x1 - x0, y0 - y1, fill="none", stroke="#000000"),
+        _rect(_fmt(x0), _fmt(y1), _fmt(x1 - x0), _fmt(y0 - y1), fill="none", stroke="#000000"),
         _text((x0 + x1) / 2, HEIGHT - MARGIN / 3, x_label, anchor="middle"),
         _text(MARGIN / 3, (y0 + y1) / 2, y_label, anchor="middle"),
         _text(x0, y0 + 16, f"{x_range[0]:.6g}", anchor="middle"),
@@ -121,14 +119,15 @@ def raster_plot(matrix, x_range, y_range, x_label: str, y_label: str, title: str
     level = np.zeros(matrix.shape) if top == 0.0 else matrix / top
     # rint rounds half to even, as round does; int() keeps a shade beyond int64 exact
     shades = np.rint(255.0 * (1.0 - level)).tolist()
-    frame_w = WIDTH - 2 * MARGIN
-    frame_h = HEIGHT - 2 * MARGIN
-    cell_w = frame_w / n_cols
-    cell_h = frame_h / n_rows
+    cell_w = (WIDTH - 2 * MARGIN) / n_cols
+    cell_h = (HEIGHT - 2 * MARGIN) / n_rows
+    # Cells share their column's x, their row's y and one size: each is formatted once.
+    xs = [_fmt(MARGIN + k * cell_w) for k in range(n_cols)]
+    w, h = _fmt(cell_w), _fmt(cell_h)
     for i, row in enumerate(shades):
-        y = HEIGHT - MARGIN - (i + 1) * cell_h
-        for k, shade in enumerate(row):
+        y = _fmt(HEIGHT - MARGIN - (i + 1) * cell_h)
+        for x, shade in zip(xs, row):
             shade = int(shade)
-            parts.append(_rect(MARGIN + k * cell_w, y, cell_w, cell_h, fill=f"rgb({shade},{shade},{shade})"))
+            parts.append(_rect(x, y, w, h, fill=f"rgb({shade},{shade},{shade})"))
     parts.append(_text(WIDTH - MARGIN, MARGIN / 2, f"max {top:.6g}", anchor="end"))
     return _document(parts)

@@ -505,6 +505,11 @@ class TestUsageErrors:
             run_cli()
         assert info.value.code == 2
 
+    def test_shared_options_may_come_before_the_command(self):
+        first = run_cli("--g1", "1", "--rddi", "0.5", "spectrum")
+        assert first == run_cli("spectrum", "--g1", "1", "--rddi", "0.5")
+        assert first[0] == 0 and first[1].startswith("index,")
+
     def test_negative_steps(self):
         code, _, _ = run_cli("evolve", "--g1", "1", "--t-steps", "0")
         assert code == 2

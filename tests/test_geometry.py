@@ -385,6 +385,19 @@ class TestNumericPeak:
         numeric_peak_concurrence(params_at(NEAR_WAIST, np.linspace(-3.0, 3.0, 9)))
         assert calls == {"decompose": 1, "weights": 1}
 
+    def test_each_kernel_call_is_at_most_one_kernel_slice(self, monkeypatch):
+        sizes, kernel = [], dynamics._concurrence
+
+        def counted(weights, t):
+            sizes.append(np.size(t))
+            return kernel(weights, t)
+
+        monkeypatch.setattr(dynamics, "_concurrence", counted)
+        # Near the waist the search keeps many cells per round, so it needs many slices.
+        numeric_peak_concurrence(params_at(NEAR_WAIST, np.linspace(-3.01, 3.02, 201)))
+        assert len(sizes) > 10
+        assert max(sizes) <= dynamics._KERNEL_POINTS
+
     def test_geometry_and_package_bind_the_dynamics_search(self):
         assert geometry.numeric_peak_concurrence is dynamics.numeric_peak_concurrence
         assert numeric_peak_concurrence is dynamics.numeric_peak_concurrence
