@@ -13,7 +13,7 @@ half the digits on rank-deficient states (sqrt of an eps-size eigenvalue is
 agreement contract at 1e-10 requires.
 
 States produced by tracing the cavity mode out of a single-excitation pure
-state carry a single coherence between |eg> and |ge| and no |ee> weight; for
+state carry a single coherence between |eg> and |ge> and no |ee> weight; for
 those the concurrence reduces exactly to twice the coherence magnitude, which
 ``xstate_concurrence`` exploits after checking the sparsity pattern.
 """

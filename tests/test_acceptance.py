@@ -3,7 +3,9 @@
 Each test prints a single PASS/FAIL line (visible under ``pytest -s``) with
 the measured worst-case numbers, then asserts.  Tolerances here are the
 contract; the per-module suites probe the same routes at higher resolution
-but only this file decides whether the package does what it says.
+but only this file decides whether the package does what it says.  Checks
+1-4 and 9 call the ``cli`` functions behind ``cavitypair selftest``, which runs
+them at small sizes; here they run at the gate's own seeds, sizes and bounds.
 """
 
 import math
@@ -16,20 +18,11 @@ from cavitypair import (
     CavityGeometry,
     InitialState,
     ModelParams,
-    analytic_spectrum,
-    build_effective_h,
-    build_single_excitation_h,
+    cli,
     concurrence_series,
-    evolve,
-    evolve_spectral,
-    hermitian_eigendecompose,
     params_at,
-    peak_times,
-    reduced_density,
-    rk4_schrodinger,
     scan_peak_optimum,
     sweep_position,
-    wootters_concurrence,
 )
 
 GEO = CavityGeometry()
@@ -41,20 +34,8 @@ def report(name, ok, detail):
 
 
 def test_01_spectrum_identities():
-    rng = np.random.default_rng(101)
-    worst_eig = 0.0
-    worst_dark = 0.0
-    for _ in range(1000):
-        g1, rddi = rng.uniform(0.0, 1.0, size=2)
-        if g1 == 0.0 and rddi == 0.0:
-            continue
-        params = ModelParams(g1=g1, g2=0.0, rddi=rddi)
-        h = build_single_excitation_h(params)
-        spectrum = analytic_spectrum(params)
-        numeric = hermitian_eigendecompose(h).eigenvalues
-        expected = np.array([-spectrum.omega, 0.0, spectrum.omega])
-        worst_eig = max(worst_eig, float(np.max(np.abs(numeric - expected))))
-        worst_dark = max(worst_dark, float(np.linalg.norm(h @ spectrum.dark)))
+    g1, rddi = np.random.default_rng(101).uniform(0.0, 1.0, size=(1000, 2)).T
+    worst_eig, worst_dark = cli._spectrum_deviations(ModelParams(g1=g1, rddi=rddi)).max(axis=1)
     report(
         "1 spectrum identities",
         worst_eig <= 1e-12 and worst_dark <= 1e-12,
@@ -63,28 +44,14 @@ def test_01_spectrum_identities():
 
 def test_02_integrator_cross_check():
     rng = np.random.default_rng(102)
-    worst_diff = 0.0
-    worst_drift = 0.0
-    for _ in range(100):
-        g1 = rng.uniform(0.05, 2.0)
-        rddi = rng.uniform(0.0, 2.0)
-        params = ModelParams(g1=g1, g2=0.0, rddi=rddi)
-        h = build_single_excitation_h(params)
-        decomp = hermitian_eigendecompose(h)
-        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        psi0 /= np.linalg.norm(psi0)
 
-        omega = params.omega
-        segment = 1.0 / omega
-        dt = 1e-3 / omega
-        psi = psi0
-        for k in range(10):
-            psi = rk4_schrodinger(h, psi / np.linalg.norm(psi), segment, dt)
-            reference = evolve_spectral(decomp, psi0, (k + 1) * segment)
-            worst_diff = max(worst_diff, float(np.max(np.abs(psi - reference))))
-        norms = np.linalg.norm(
-            evolve_spectral(decomp, psi0, np.linspace(0.0, 10.0 * segment, 1001)), axis=1)
-        worst_drift = max(worst_drift, float(np.max(np.abs(norms - 1.0))))
+    def draw():
+        g1, rddi = rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0)
+        psi0 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return g1, rddi, psi0 / np.linalg.norm(psi0)
+
+    g1, rddi, psi0 = map(np.array, zip(*(draw() for _ in range(100))))
+    worst_diff, worst_drift = cli._integrator_deviations(ModelParams(g1=g1, rddi=rddi), psi0).max(axis=1)
     report(
         "2 integrator cross-check",
         worst_diff <= 1e-8 and worst_drift <= 1e-12,
@@ -93,8 +60,8 @@ def test_02_integrator_cross_check():
 
 def test_03_concurrence_route_equivalence():
     rng = np.random.default_rng(103)
-    worst = 0.0
-    for i in range(1000):
+
+    def draw(i):
         g1 = rng.uniform(0.05, 2.0)
         g2 = 0.0 if i % 2 == 0 else rng.uniform(0.0, 0.5)
         rddi = rng.uniform(0.0, 2.0)
@@ -104,11 +71,10 @@ def test_03_concurrence_route_equivalence():
             init = InitialState(math.sqrt(1.0 - mix), math.sqrt(mix) * np.exp(1j * phase))
         else:
             init = InitialState()
-        psi = evolve(ModelParams(g1=g1, g2=g2, rddi=rddi), init, rng.uniform(0.0, 30.0))
-        rho = reduced_density(psi)
-        general = wootters_concurrence(rho)
-        fast = 2.0 * abs(rho[1, 2])
-        worst = max(worst, abs(general - fast))
+        return g1, g2, rddi, init, rng.uniform(0.0, 30.0)
+
+    g1, g2, rddi, inits, t = zip(*map(draw, range(1000)))
+    worst = cli._route_deviations(ModelParams(g1=g1, g2=g2, rddi=rddi), inits, t).max()
     report(
         "3 concurrence route equivalence",
         worst <= 1e-10,
@@ -116,21 +82,8 @@ def test_03_concurrence_route_equivalence():
 
 
 def test_04_peak_time_formula():
-    rng = np.random.default_rng(104)
-    worst = 0.0
-    for _ in range(50):
-        g1 = rng.uniform(0.05, 2.0)
-        rddi = rng.uniform(0.05, 2.0)
-        params = ModelParams(g1=g1, g2=0.0, rddi=rddi)
-        period = 2.0 * math.pi / params.omega
-        grid = np.linspace(0.0, 3.0 * period, 30001)
-        step = grid[1] - grid[0]
-        values = concurrence_series(params, InitialState(), grid).values
-        for expected in peak_times(g1, rddi, m_max=5):
-            window = np.abs(grid - expected) <= 0.25 * period
-            idx = np.flatnonzero(window)
-            found = grid[idx[np.argmax(values[idx])]]
-            worst = max(worst, abs(found - expected) / step)
+    g1, rddi = np.random.default_rng(104).uniform(0.05, 2.0, size=(50, 2)).T
+    worst = cli._peak_offsets(ModelParams(g1=g1, rddi=rddi)).max()
     report(
         "4 peak-time formula",
         worst <= 1.0000001,
@@ -200,15 +153,8 @@ def test_08_asymmetric_coupling_validity():
 
 
 def test_09_effective_model_stays_separable():
-    params = ModelParams(g1=1.0, g2=0.0, rddi=0.1)
-    grid = np.linspace(0.0, 100.0, 4001)
-    decomp = hermitian_eigendecompose(build_effective_h(params))
-    states = evolve_spectral(decomp, np.array([1.0, 0.0, 0.0], dtype=complex), grid)
-    fast = 2.0 * np.abs(states[:, 1] * np.conj(states[:, 2]))
-    general = max(
-        wootters_concurrence(reduced_density(states[i])) for i in range(0, grid.size, 400))
-    effective_max = max(float(fast.max()), general)
-    full_max = float(concurrence_series(params, InitialState(), grid).values.max())
+    effective, full = cli._effective_model_concurrences(ModelParams(g1=1.0, rddi=0.1), np.linspace(0.0, 100.0, 4001))
+    effective_max, full_max = effective.max(), full.max()
     report(
         "9 effective model stays separable",
         effective_max <= 1e-12 and full_max > 0.01,

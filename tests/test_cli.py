@@ -577,6 +577,22 @@ class TestDomainEdges:
         for command in (("spectrum",), ("peaks",), ("evolve", "--t-steps", "3")):
             run_within_contract(*command, *couplings)
 
+    # --numeric-peaks stays out of the draw: its search grows with W * period, one draw (--x1-min -13.48
+    # --x1-max -10.19 --rddi-a 3.48e5 --x2 5.2e-37) took 6 s and the breadth cap admits about 24 s.
+    # Its edge cases are in test_exit_code_and_quiet.
+    GEOMETRY_FLAGS = [action.option_strings[0] for action in SHARED_OPTIONS
+                      if action.dest in cli.GEOMETRY_KEYS and action.type is float]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(overrides=st.dictionaries(st.sampled_from(GEOMETRY_FLAGS), COUPLING, max_size=3),
+           x1=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2, unique=True))
+    def test_grid_commands_over_the_whole_domain(self, overrides, x1):
+        options = [f"{flag}={value!r}" for flag, value in overrides.items()]
+        options += [f"--x1-min={min(x1)!r}", f"--x1-max={max(x1)!r}"]
+        for command in (("sweep",), ("mesh", "--t-steps", "3"), ("plot", "--kind", "sweep"),
+                        ("plot", "--kind", "mesh", "--t-steps", "3")):
+            run_within_contract(*command, *options)
+
     def test_peaks_refuses_g2(self, tmp_path):
         refusal = (2, "", "error: ParameterError: peak analytics are defined for g2 = 0 only\n")
         assert run_cli("peaks", "--g1", "1", "--g2", "0.5", "--rddi", "0.5") == refusal

@@ -16,6 +16,7 @@ from cavitypair import (
     wootters_concurrence,
     xstate_concurrence,
 )
+from cavitypair import cli
 
 PEAK_STATE = np.array([-0.2, -0.7745966692414834j, -0.6])
 PEAK_CONCURRENCE = 0.9295160030897797  # 2 * 0.6 * 0.7745966692414834
@@ -148,24 +149,19 @@ class TestXstate:
 class TestFastPathAgreement:
     def test_on_pipeline_states(self):
         rng = np.random.default_rng(34)
-        worst = 0.0
-        for _ in range(300):
-            g1, rddi = rng.uniform(0.05, 1.0, size=2)
-            t = rng.uniform(0.0, 30.0)
-            psi = evolve(ModelParams(g1=g1, rddi=rddi), InitialState(), t)
-            rho = reduced_density(psi)
-            worst = max(worst, abs(wootters_concurrence(rho) - xstate_concurrence(rho)))
-        assert worst <= 1e-10
+        g1, rddi, t = np.array([(*rng.uniform(0.05, 1.0, size=2), rng.uniform(0.0, 30.0)) for _ in range(300)]).T
+        assert cli._route_deviations(ModelParams(g1=g1, rddi=rddi), [InitialState()] * 300, t).max() <= 1e-10
 
     def test_with_general_initial_state(self):
         rng = np.random.default_rng(35)
-        for _ in range(100):
+
+        def draw():
             g1, rddi = rng.uniform(0.05, 1.0, size=2)
             angle = rng.uniform(0.0, 2.0 * np.pi)
-            init = InitialState(alpha=np.cos(angle), beta=1j * np.sin(angle))
-            psi = evolve(ModelParams(g1=g1, rddi=rddi), init, rng.uniform(0.0, 10.0))
-            rho = reduced_density(psi)
-            assert abs(wootters_concurrence(rho) - xstate_concurrence(rho)) <= 1e-10
+            return g1, rddi, InitialState(alpha=np.cos(angle), beta=1j * np.sin(angle)), rng.uniform(0.0, 10.0)
+
+        g1, rddi, inits, t = zip(*(draw() for _ in range(100)))
+        assert cli._route_deviations(ModelParams(g1=g1, rddi=rddi), inits, t).max() <= 1e-10
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(g1=SIGNED_LOG_COUPLING, g2=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING), rddi=SIGNED_LOG_COUPLING,
