@@ -233,6 +233,15 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
+def _residuals(h: np.ndarray, energies, vecs) -> list:
+    """|H v - E v| per eigenpair (E, v), with H and E scaled by one power of two (exact) so that
+    max|H| is in [0.5, 1): neither H v nor the squares in the norm overflow or underflow."""
+    exponent = -math.frexp(np.max(np.abs(h)))[1]
+    h_scaled = np.ldexp(h, exponent)
+    return [math.ldexp(np.linalg.norm(h_scaled @ vec - math.ldexp(e, exponent) * vec), -exponent)
+            for e, vec in zip(energies, vecs)]
+
+
 def cmd_spectrum(cfg: dict) -> int:
     params = _model_params(cfg)
     spectrum = analytic_spectrum(ModelParams(g1=params.g1, g2=0.0, rddi=params.rddi))
@@ -241,16 +250,6 @@ def cmd_spectrum(cfg: dict) -> int:
     values = (-spectrum.omega, 0.0, spectrum.omega)
     vectors = np.array([_gauge_fix(vec) for vec in (spectrum.bright_minus, spectrum.dark, spectrum.bright_plus)])
     num_vectors = np.array([_gauge_fix(vec) for vec in decomp.eigenvectors.T]).real
-
-    # |H v - E v| with H and E scaled by one power of two (exact) so that
-    # max|H| is in [0.5, 1): neither H v nor the squares in the norm overflow or underflow.
-    exponent = -math.frexp(np.max(np.abs(h_full)))[1]
-    h_scaled = np.ldexp(h_full, exponent)
-
-    def residuals(energies, vecs):
-        return [math.ldexp(np.linalg.norm(h_scaled @ vec - math.ldexp(e, exponent) * vec), -exponent)
-                for e, vec in zip(energies, vecs)]
-
     header = (
         "index", "eigenvalue_analytic", "eigenvalue_numeric",
         "photon_analytic", "atom1_analytic", "atom2_analytic",
@@ -258,7 +257,7 @@ def cmd_spectrum(cfg: dict) -> int:
         "residual_analytic", "residual_numeric",
     )
     columns = (range(3), values, decomp.eigenvalues, *vectors.T, *num_vectors.T,
-               residuals(values, vectors), residuals(decomp.eigenvalues, num_vectors))
+               _residuals(h_full, values, vectors), _residuals(h_full, decomp.eigenvalues, num_vectors))
     _emit(cfg, _csv(header, columns))
     return 0
 
@@ -344,7 +343,7 @@ def _spectrum_deviations(params: ModelParams):
     h = build_single_excitation_h(params)
     eigenvalues = hermitian_eigendecompose(h).eigenvalues
     spectra = [analytic_spectrum(ModelParams(g1=g1, rddi=rddi)) for g1, rddi in zip(params.g1, params.rddi)]
-    return np.array([(np.max(np.abs(e - [-s.omega, 0.0, s.omega])), np.linalg.norm(h_k @ s.dark))
+    return np.array([(np.max(np.abs(e - [-s.omega, 0.0, s.omega])), _residuals(h_k, [0.0], [s.dark])[0])
                      for e, h_k, s in zip(eigenvalues, h, spectra)]).T
 
 
@@ -378,16 +377,16 @@ def _route_deviations(params: ModelParams, inits, t):
 
 def _peak_offsets(params: ModelParams):
     """Per g2 = 0 model, then per ``peak_times`` entry (m_max = 5): how far, in grid steps, the concurrence
-    maximum within a quarter period lies from it, on 30 001 points over 3 periods."""
-    periods = _period(params.omega)
-    grids = np.linspace(0.0, 3.0 * periods, 30_001, axis=-1)
+    maximum of its half period lies from it, on 30 001 points over 3 periods (6 half periods of 5 000 steps).
+
+    C = (2 g1^2 Gamma/Omega^3)|sin Omega t|(1 - cos Omega t) vanishes at every multiple of P/2, so each half
+    period holds exactly one maximum, and ``peak_times`` returns one time per half period, in order."""
+    grids = np.linspace(0.0, 3.0 * _period(params.omega), 30_001, axis=-1)
     values = _model_concurrence(params, InitialState(), grids)
-    offsets = []
-    for g1, rddi, period, grid, series in zip(params.g1, params.rddi, periods, grids, values):
-        for expected in peak_times(g1, rddi, m_max=5):
-            window = np.flatnonzero(np.abs(grid - expected) <= 0.25 * period)
-            offsets.append(abs(grid[window[np.argmax(series[window])]] - expected) / (grid[1] - grid[0]))
-    return np.array(offsets)
+    peaks = values[:, :-1].reshape(len(values), 6, 5_000).argmax(axis=-1) + 5_000 * np.arange(6)
+    expected = np.array([peak_times(g1, rddi, m_max=5) for g1, rddi in zip(params.g1, params.rddi)])
+    times = np.take_along_axis(grids, peaks, axis=-1)
+    return (np.abs(times - expected) / (grids[:, 1:2] - grids[:, :1])).ravel()
 
 
 def _effective_model_concurrences(params: ModelParams, grid):
@@ -511,7 +510,7 @@ def main(argv=None) -> int:
     except NumericalContractError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # ParameterError included
+    except (ValueError, MemoryError) as exc:  # ParameterError included; MemoryError: an unallocatable grid
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

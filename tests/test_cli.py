@@ -561,6 +561,11 @@ class TestDomainEdges:
         (("peaks", "--g1", "1", "--g2", "0.5", "--rddi", "0.5"), 2),
         (("peaks", "--g1", "1", "--g2=-1e-300", "--scan-rddi", "0:1:3"), 2),
         (("peaks", "--g1", "1", "--g2", "0", "--rddi", "0.5"), 0),
+        # 1e18 float64 points (6.94 EiB): an allocation refused at once, a MemoryError
+        (("evolve", "--t-steps", "1000000000000000000"), 2),
+        (("sweep", "--x1-steps", "1000000000000000000"), 2),
+        (("mesh", "--x1-steps", "3", "--t-steps", "1000000000000000000"), 2),
+        (("peaks", "--g1", "1", "--scan-rddi", "0:1:1000000000000000000"), 2),
     ])
     def test_exit_code_and_quiet(self, args, expected):
         assert run_within_contract(*args) == expected

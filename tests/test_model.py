@@ -9,6 +9,7 @@ from cavitypair import (
     analytic_spectrum,
     build_effective_h,
     build_single_excitation_h,
+    cli,
     evolve_spectral,
     hermitian_eigendecompose,
 )
@@ -110,33 +111,23 @@ class TestAnalyticSpectrum:
             analytic_spectrum(ModelParams(g1=0.0))
 
     def test_matches_numeric_solver(self):
-        # eigenvalues to 1e-12, eigenvector projectors to 1e-10, 10^3 draws
-        rng = np.random.default_rng(21)
-        for _ in range(1000):
-            g1, rddi = rng.uniform(0.0, 1.0, size=2)
-            if max(g1, rddi) == 0.0:
-                continue
-            params = ModelParams(g1=g1, rddi=rddi)
-            s = analytic_spectrum(params)
-            h = build_single_excitation_h(params)
-            decomp = hermitian_eigendecompose(h)
-            np.testing.assert_allclose(
-                decomp.eigenvalues, [-s.omega, 0.0, s.omega], atol=1e-12)
-            for i, vec in enumerate((s.bright_minus, s.dark, s.bright_plus)):
-                numeric = decomp.eigenvectors[:, i]
-                diff = np.outer(vec, vec.conj()) - np.outer(numeric, numeric.conj())
-                assert np.max(np.abs(diff)) <= 1e-10
+        # eigenvalues to 1e-12 through the gate's check, eigenvector projectors to 1e-10, 10^3 draws
+        g1, rddi = np.random.default_rng(21).uniform(0.0, 1.0, size=(1000, 2)).T
+        params = ModelParams(g1=g1, rddi=rddi)
+        assert np.all(cli._spectrum_deviations(params)[0] <= 1e-12)
+        spectra = [analytic_spectrum(ModelParams(g1=a, rddi=b)) for a, b in zip(g1, rddi)]
+        analytic = np.array([np.column_stack((s.bright_minus, s.dark, s.bright_plus)) for s in spectra])
+        numeric = hermitian_eigendecompose(build_single_excitation_h(params)).eigenvectors
+
+        def projectors(vectors):  # one outer product v v^dagger per eigenvector column
+            return vectors[:, :, None, :] * vectors[:, None, :, :].conj()
+
+        assert np.max(np.abs(projectors(analytic) - projectors(numeric))) <= 1e-10
 
     def test_dark_state_annihilated(self):
-        rng = np.random.default_rng(22)
-        for _ in range(200):
-            g1, rddi = rng.uniform(0.0, 1.0, size=2)
-            if max(g1, rddi) == 0.0:
-                continue
-            params = ModelParams(g1=g1, rddi=rddi)
-            h = build_single_excitation_h(params)
-            s = analytic_spectrum(params)
-            assert np.linalg.norm(h @ s.dark) <= 1e-12 * max(g1, rddi)
+        g1, rddi = np.random.default_rng(22).uniform(0.0, 1.0, size=(200, 2)).T
+        _, dark = cli._spectrum_deviations(ModelParams(g1=g1, rddi=rddi))
+        assert np.all(dark <= 1e-12 * np.maximum(g1, rddi))
 
     def test_triple_orthonormal(self):
         s = analytic_spectrum(ModelParams(g1=0.8, rddi=0.33))
