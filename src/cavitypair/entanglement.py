@@ -46,8 +46,8 @@ SPIN_FLIP = np.array(
 )
 
 
-def _as_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """A finite 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace.
+def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """A finite 4x4 complex matrix within 1e-12 of Hermitian and 1e-10 of unit trace, and its Hermiticity defect.
 
     Any NaN or infinite entry makes the defect NaN or infinite, which fails the Hermiticity bound.
     """
@@ -60,7 +60,7 @@ def _as_density_matrix(rho: np.ndarray) -> np.ndarray:
     trace = float(rho.trace().real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise InvalidDensityMatrix(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL:.0e}")
-    return rho
+    return rho, defect
 
 
 def wootters_concurrence(rho: np.ndarray) -> float:
@@ -80,7 +80,8 @@ def wootters_concurrence(rho: np.ndarray) -> float:
         If the Hermiticity defect, within the absolute 1e-12, still exceeds
         1e-12 * max|rho_ij| (the eigensolver's relative bound).
     """
-    decomp = hermitian_eigendecompose(_as_density_matrix(rho))
+    rho, defect = _as_density_matrix(rho)
+    decomp = hermitian_eigendecompose(rho, _defect=defect)  # the relative bound, on the same measurement
     eigenvalues = decomp.eigenvalues
     if eigenvalues[0] < -PSD_TOL:
         raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues[0]!r} beyond -{PSD_TOL:.0e}")
@@ -113,7 +114,7 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     otherwise.  Agrees with ``wootters_concurrence`` to 1e-10 on every state
     produced by the reduced-density pipeline.
     """
-    r = _as_density_matrix(rho).tolist()  # finite entries: Python arithmetic from here on
+    r = _as_density_matrix(rho)[0].tolist()  # finite entries: Python arithmetic from here on
     stray = max(abs(r[i][j]) for i, j in _OFF_PATTERN)
     if stray > PATTERN_TOL:
         raise PatternMismatch(f"off-pattern element of magnitude {stray:.3e} present")

@@ -89,6 +89,8 @@ def build_single_excitation_h(params: ModelParams) -> np.ndarray:
     Hamiltonians, shape s + (3, 3).
     """
     g1, g2, gamma = params.g1, params.g2, params.rddi
+    if isinstance(g1, float) and isinstance(g2, float) and isinstance(gamma, float):  # one model: one literal
+        return np.array([[0.0, g1, g2], [g1, 0.0, gamma], [g2, gamma, 0.0]])
     h = np.zeros(np.broadcast(g1, g2, gamma).shape + (3, 3))
     h[..., 0, 1] = h[..., 1, 0] = g1
     h[..., 0, 2] = h[..., 2, 0] = g2

@@ -8,6 +8,10 @@ Runge-Kutta integrator that serves as an independent cross-check of the
 spectral route.  hbar = 1 everywhere; frequencies are dimensionless
 (units of the maximum coupling g0) and times carry units 1/g0.
 
+One matrix, and one matrix at a scalar time, take their own branch, selected
+by the input's ``ndim``: ``ndarray.dot`` in place of the stacked ``@``, with
+the same bits as a stack of one.
+
 All operations are pure functions of immutable inputs and are safe to call
 from parallel workers.
 """
@@ -112,18 +116,22 @@ def hermiticity_defect(m: np.ndarray):
     return _entry_max(m - _dagger(m))
 
 
-def _require_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _require_hermitian(m: np.ndarray, defect=None) -> tuple[np.ndarray, np.ndarray]:
     """A square matrix, or a stack of them, each Hermitian to 1e-12 of its own max|m_ij|.
 
     Real input stays real (float64), anything else becomes complex128.  Returns
     the matrix and the max|m_ij| of each member (a float for one matrix).
+    ``defect`` is ``hermiticity_defect(m)`` when the caller has measured it
+    already; otherwise it is measured here.
     """
     m = np.asarray(m)
     m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
     scale = _entry_max(m)
-    _require_within(hermiticity_defect(m), HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
+    if defect is None:
+        defect = hermiticity_defect(m)
+    _require_within(defect, HERMITICITY_RTOL * scale, NonHermitianInput, "Hermiticity defect")
     return m, scale
 
 
@@ -139,7 +147,7 @@ def _require_normalized(psi, dim: int | None = None) -> np.ndarray:
     return psi
 
 
-def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
+def hermitian_eigendecompose(m: np.ndarray, *, _defect=None) -> SpectralDecomposition:
     """Eigendecompose a small Hermitian matrix, or a stack of them.
 
     Parameters
@@ -163,8 +171,11 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
         If the Hermiticity tolerance is exceeded.
     NoConvergence
         If the backend fails or the residual/orthonormality bound is violated.
+
+    ``_defect``, private, is ``hermiticity_defect(m)`` of one matrix that a
+    caller has measured for its own bound, so that it is measured once.
     """
-    m, scale = _require_hermitian(m)
+    m, scale = _require_hermitian(m, _defect)
     n = m.shape[-1]
     if n > MAX_DIM:
         raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")
@@ -173,11 +184,12 @@ def hermitian_eigendecompose(m: np.ndarray) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed: {exc}") from exc
 
+    product = np.ndarray.dot if m.ndim == 2 else np.matmul
     adjoint = _dagger(eigenvectors)
-    residual = _entry_max(m - (eigenvectors * eigenvalues[..., None, :]) @ adjoint)
+    residual = _entry_max(m - product(eigenvectors * eigenvalues[..., None, :], adjoint))
     floor = max(scale, 1e-300) if isinstance(scale, float) else np.maximum(scale, 1e-300)
     _require_within(residual, RESIDUAL_RTOL * floor, NoConvergence, "reconstruction residual")
-    gram = adjoint @ eigenvectors
+    gram = product(adjoint, eigenvectors)
     gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0  # V^dagger V - 1, in place
     _require_within(_entry_max(gram), ORTHONORMALITY_TOL, NoConvergence, "eigenvector orthonormality defect")
 
@@ -223,6 +235,8 @@ def evolve_spectral(decomp: SpectralDecomposition, psi0: np.ndarray, t) -> np.nd
     energies, vectors = decomp.eigenvalues, decomp.eigenvectors
     t_arr = np.asarray(t, dtype=float)
     _require_finite_phase(energies, t_arr)
+    if t_arr.ndim == 0 and vectors.ndim == 2:  # one state of one matrix: two matrix-vector products
+        return vectors.dot(_phases(t_arr * energies) * _dagger(vectors).dot(psi0))
     coeff = _dagger(vectors) @ psi0
     phases = _phases(np.atleast_1d(t_arr)[..., None] * energies[..., None, :])
     out = (phases * coeff[..., None, :]) @ vectors.swapaxes(-1, -2)
@@ -245,7 +259,7 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
     h, _ = _require_hermitian(h)
     if h.ndim != 2:
         raise DimensionMismatch(f"expected a single matrix, got shape {h.shape}")
-    h = np.ascontiguousarray(h)  # so every T(s) below is C-ordered and its ravel() a view
+    h = np.ascontiguousarray(h)  # so every T(s) below is C-ordered, whatever the caller's layout
     if dt <= 0.0:
         raise InvalidStep(f"dt = {dt!r} must be positive")
     if t_final < 0.0:
@@ -261,15 +275,15 @@ def rk4_schrodinger(h: np.ndarray, psi0: np.ndarray, t_final: float, dt: float) 
         raise InvalidStep(f"t_final / dt = {steps!r} is not finite")
     n_full = math.floor(steps + 1e-12)
     remainder = t_final - n_full * dt
-    diagonal = slice(None, None, h.shape[0] + 1)  # the diagonal of a flattened square matrix
+    eye = np.eye(h.shape[0], dtype=complex)  # complex: a float identity added to complex out is slower
 
     def step(s):  # T(s) in Horner form: 1 + a (1 + a/2 (1 + a/3 (1 + a/4))), a = -i s H
         a = (-1j * s) * h
         out = a / 4.0
         for k in (3.0, 2.0, 1.0):
-            out.ravel()[diagonal] += 1.0
+            out += eye
             out = a.dot(out) / k
-        out.ravel()[diagonal] += 1.0
+        out += eye
         return out
 
     # One matrix throughout, so ndarray.dot: the same product with less dispatch than @.

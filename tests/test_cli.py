@@ -579,7 +579,8 @@ class TestDomainEdges:
     @given(g1=COUPLING, g2=COUPLING, rddi=COUPLING)
     def test_whole_domain(self, g1, g2, rddi):
         couplings = (f"--g1={g1!r}", f"--g2={g2!r}", f"--rddi={rddi!r}")
-        for command in (("spectrum",), ("peaks",), ("evolve", "--t-steps", "3")):
+        for command in (("spectrum",), ("peaks",), ("evolve", "--t-steps", "3"),
+                        ("plot", "--kind", "evolve", "--t-steps", "3")):
             run_within_contract(*command, *couplings)
 
     # --numeric-peaks stays out of the draw: its search grows with W * period, one draw (--x1-min -13.48

@@ -588,6 +588,47 @@ class TestClosedFormDomain:
             closed_form_concurrence(0.0, 0.0, math.inf)
 
 
+def _bytes_or_class(function, *args):
+    """The bytes of each array a call returns, or the class it raises."""
+    try:
+        out = function(*args)
+    except (CavityPairError, RuntimeWarning) as exc:
+        return type(exc)
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return [np.ascontiguousarray(array).tobytes() for array in out]
+
+
+class TestOneMatrixBranches:
+    """One model, one matrix and one time take their own branches; each gives the stack route's bits."""
+
+    COUPLING = st.one_of(st.just(0.0), SIGNED_LOG_COUPLING)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(g1=COUPLING, g2=COUPLING, rddi=COUPLING, mix=st.floats(min_value=0.0, max_value=1.0),
+           phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+           t=st.one_of(st.just(0.0), st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)))
+    def test_bits_equal_the_stack_route(self, g1, g2, rddi, mix, phase, t):
+        one, grid = ModelParams(g1=g1, g2=g2, rddi=rddi), ModelParams(g1=[g1], g2=[g2], rddi=[rddi])
+        h = build_single_excitation_h(one)
+        assert h.tobytes() == build_single_excitation_h(grid)[0].tobytes()
+
+        def decomposition(m):
+            decomp = hermitian_eigendecompose(m)
+            return decomp.eigenvalues, decomp.eigenvectors
+
+        assert _bytes_or_class(decomposition, h) == _bytes_or_class(lambda m: [a[0] for a in decomposition(m)],
+                                                                    h[None])
+        init = initial_state(mix, phase)
+        assert _bytes_or_class(evolve, one, init, t) == _bytes_or_class(lambda *a: evolve(*a)[0], one, init, [t])
+        try:
+            decomp = hermitian_eigendecompose(h)
+        except CavityPairError:
+            return
+        assert (_bytes_or_class(evolve_spectral, decomp, init.vector(), t)
+                == _bytes_or_class(lambda *a: evolve_spectral(*a)[0], decomp, init.vector(), [t]))
+
+
 class TestConcurrenceKernel:
     @settings(max_examples=100, deadline=None)
     @given(

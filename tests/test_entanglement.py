@@ -16,7 +16,7 @@ from cavitypair import (
     wootters_concurrence,
     xstate_concurrence,
 )
-from cavitypair import cli
+from cavitypair import cli, entanglement, qmath
 
 PEAK_STATE = np.array([-0.2, -0.7745966692414834j, -0.6])
 PEAK_CONCURRENCE = 0.9295160030897797  # 2 * 0.6 * 0.7745966692414834
@@ -206,6 +206,19 @@ class TestWoottersChecks:
         with pytest.raises(InvalidDensityMatrix) as info:
             wootters_concurrence(rho)
         assert str(info.value) == "trace 1.1 deviates from 1 beyond 1e-10"
+
+    def test_one_hermiticity_pass_per_call(self, monkeypatch):
+        # The absolute bound and the eigensolver's relative bound judge one measurement.
+        calls, defect = [], qmath.hermiticity_defect
+
+        def counted(m):
+            calls.append(m)
+            return defect(m)
+
+        monkeypatch.setattr(entanglement, "hermiticity_defect", counted)
+        monkeypatch.setattr(qmath, "hermiticity_defect", counted)
+        assert wootters_concurrence(reduced_density(PEAK_STATE)) == pytest.approx(PEAK_CONCURRENCE, abs=1e-12)
+        assert len(calls) == 1
 
     def test_concurrence_beyond_clamp_slack(self, monkeypatch):
         # No density matrix gives these singular values: an excess over 1 beyond rounding is refused.
