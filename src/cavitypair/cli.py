@@ -219,27 +219,27 @@ def _emit(cfg: dict, text: str) -> None:
         raise ParameterError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant component is real positive.
+def _gauge_fix(vecs: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each vector (last axis) so its first significant component is real positive.
 
     Matches the sign convention of the analytic eigenvectors, keeping the
     side-by-side CSV columns directly comparable; zeros stay +0 (a rotated 0
     could print as -0).
     """
-    magnitudes = np.abs(vec)
-    pivot = vec[int(np.argmax(magnitudes > 1e-8 * magnitudes.max()))]
-    if pivot != 0.0:
-        vec = np.where(vec == 0.0, 0.0, vec * np.conj(pivot / abs(pivot)))
-    return vec
+    magnitudes = np.abs(vecs)
+    first = np.argmax(magnitudes > 1e-8 * magnitudes.max(axis=-1, keepdims=True), axis=-1)
+    pivot = np.take_along_axis(vecs, first[..., None], axis=-1)
+    return np.where(vecs == 0.0, 0.0, vecs * np.conj(pivot / abs(pivot)))
 
 
-def _residuals(h: np.ndarray, energies, vecs) -> list:
-    """|H v - E v| per eigenpair (E, v), with H and E scaled by one power of two (exact) so that
-    max|H| is in [0.5, 1): neither H v nor the squares in the norm overflow or underflow."""
-    exponent = -math.frexp(np.max(np.abs(h)))[1]
-    h_scaled = np.ldexp(h, exponent)
-    return [math.ldexp(np.linalg.norm(h_scaled @ vec - math.ldexp(e, exponent) * vec), -exponent)
-            for e, vec in zip(energies, vecs)]
+def _residuals(h: np.ndarray, energies, vecs) -> np.ndarray:
+    """|H v - E v| per eigenpair (E, v) of energies (..., k) and real vectors (..., k, 3) of h (..., 3, 3), with each
+    H and its E scaled by one power of two (exact) so that max|H| is in [0.5, 1): neither H v nor the squares in
+    the norm overflow or underflow."""
+    exponent = -np.frexp(np.max(np.abs(h), axis=(-2, -1)))[1][..., None]
+    d = (np.ldexp(h, exponent[..., None])[..., None, :, :] @ vecs[..., :, None])[..., 0]
+    d -= np.ldexp(energies, exponent)[..., None] * vecs
+    return np.ldexp(np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0], -exponent)
 
 
 def cmd_spectrum(cfg: dict) -> int:
@@ -248,8 +248,8 @@ def cmd_spectrum(cfg: dict) -> int:
     h_full = build_single_excitation_h(params)
     decomp = hermitian_eigendecompose(h_full)
     values = (-spectrum.omega, 0.0, spectrum.omega)
-    vectors = np.array([_gauge_fix(vec) for vec in (spectrum.bright_minus, spectrum.dark, spectrum.bright_plus)])
-    num_vectors = np.array([_gauge_fix(vec) for vec in decomp.eigenvectors.T]).real
+    vectors = _gauge_fix(np.stack((spectrum.bright_minus, spectrum.dark, spectrum.bright_plus)))
+    num_vectors = _gauge_fix(decomp.eigenvectors.T).real
     header = (
         "index", "eigenvalue_analytic", "eigenvalue_numeric",
         "photon_analytic", "atom1_analytic", "atom2_analytic",
@@ -342,9 +342,10 @@ def _spectrum_deviations(params: ModelParams):
     """Rows max|numeric - closed-form eigenvalue| and |H dark|, one entry per g2 = 0 model of a grid."""
     h = build_single_excitation_h(params)
     eigenvalues = hermitian_eigendecompose(h).eigenvalues
-    spectra = [analytic_spectrum(ModelParams(g1=g1, rddi=rddi)) for g1, rddi in zip(params.g1, params.rddi)]
-    return np.array([(np.max(np.abs(e - [-s.omega, 0.0, s.omega])), _residuals(h_k, [0.0], [s.dark])[0])
-                     for e, h_k, s in zip(eigenvalues, h, spectra)]).T
+    spectrum = analytic_spectrum(params)
+    closed = np.multiply.outer(spectrum.omega, [-1.0, 0.0, 1.0])
+    return np.stack([np.max(np.abs(eigenvalues - closed), axis=-1),
+                     _residuals(h, [0.0], spectrum.dark[..., None, :])[..., 0]])
 
 
 def _integrator_deviations(params: ModelParams, psi0):

@@ -94,8 +94,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times = np.array(self.times, dtype=float)  # copies: freezing leaves the caller's arrays writable
+        values = np.array(self.values, dtype=float)
         if times.ndim != 1 or values.shape != times.shape:
             raise ParameterError("times and values must be 1-d arrays of equal length")
         if times.size == 0:

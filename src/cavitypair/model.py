@@ -70,6 +70,7 @@ class AnalyticSpectrum:
     ``dark`` is the zero-eigenvalue eigenvector (Gamma, 0, -g1)/Omega with the
     first non-zero component taken positive; ``bright_plus``/``bright_minus``
     are (g1, +/-Omega, Gamma)/(sqrt(2) Omega) with eigenvalues +/-Omega.
+    On a grid of shape s, ``omega`` has shape s and each vector s + (3,).
     """
 
     omega: float
@@ -99,31 +100,34 @@ def build_single_excitation_h(params: ModelParams) -> np.ndarray:
 
 
 def analytic_spectrum(params: ModelParams) -> AnalyticSpectrum:
-    """Closed-form eigensystem for the g2 = 0 Hamiltonian.
+    """Closed-form eigensystem for the g2 = 0 Hamiltonian, of one model or a grid.
 
-    Requires params.g2 == 0 and a finite Omega > 0 (raises DegenerateModel
-    when both couplings vanish or Omega overflows).  Satisfies H dark = 0
-    and H bright_pm = +/-Omega bright_pm to machine precision; cross-checked
-    against the numerical eigensolver by the test suite.
+    A grid's fields carry its axes (the shape s that g1 and rddi broadcast
+    to); one model gives a float and three read-only (3,) vectors, bit for
+    bit its row of any grid.  Requires g2 = 0 and a finite Omega > 0 on
+    every model (raises DegenerateModel when both couplings vanish or Omega
+    overflows).  Satisfies H dark = 0 and H bright_pm = +/-Omega bright_pm to
+    machine precision; cross-checked against the numerical eigensolver by
+    the test suite.
     """
-    if params.g2 != 0.0:
+    if np.any(params.g2 != 0.0):
         raise ParameterError("analytic spectrum is defined for g2 = 0 only")
-    g1, gamma = params.g1, params.rddi
     omega = params.omega
-    if omega == 0.0:
+    if np.any(omega == 0.0):
         raise DegenerateModel("g1 = rddi = 0: no bright doublet, period undefined")
-    if omega == math.inf:
+    if np.any(omega == math.inf):
         raise DegenerateModel("Omega = inf: sqrt(g1^2 + rddi^2) overflows")
 
-    dark = np.array([gamma, 0.0, -g1]) / omega
-    # Sign convention: first non-zero component positive; flipping only the
-    # non-zero entries keeps the zeros +0 (a negated 0 would print as -0).
-    sign = math.copysign(1.0, dark[np.nonzero(dark)[0][0]])
+    g1, gamma, om = np.broadcast_arrays(params.g1, params.rddi, omega)
+    dark = np.stack([gamma, np.zeros_like(g1), -g1], axis=-1) / om[..., None]
+    # Sign convention: first non-zero component positive (the middle one is 0);
+    # flipping only the non-zero entries keeps the zeros +0 (a negated 0 would print as -0).
+    sign = np.copysign(1.0, np.where(dark[..., :1] != 0.0, dark[..., :1], dark[..., 2:]))
     dark = np.where(dark == 0.0, 0.0, sign * dark)
-    # Numerator and denominator scaled by one power of two (exact), so that
-    # sqrt(2) Omega cannot overflow.
-    exponent = -math.frexp(omega)[1]
-    bright_plus = np.ldexp([g1, omega, gamma], exponent) / (math.sqrt(2.0) * math.ldexp(omega, exponent))
+    # Numerator and denominator scaled by one power of two (exact), so that sqrt(2) Omega cannot overflow.
+    exponent = -np.frexp(om[..., None])[1]
+    bright_plus = (np.ldexp(np.stack([g1, om, gamma], axis=-1), exponent)
+                   / (math.sqrt(2.0) * np.ldexp(om[..., None], exponent)))
     bright_minus = bright_plus * [1.0, -1.0, 1.0]
     for vec in (dark, bright_plus, bright_minus):
         vec.setflags(write=False)

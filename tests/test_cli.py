@@ -320,6 +320,7 @@ class TestSelftest:
 
     @pytest.mark.parametrize("name, attribute", [
         ("spectrum-oracle", "hermitian_eigendecompose"),
+        ("spectrum-oracle", "analytic_spectrum"),
         ("concurrence-equivalence", "evolve"),
         ("peak-placement", "_model_concurrence"),
     ])
@@ -575,7 +576,7 @@ class TestDomainEdges:
     COUPLING = st.one_of(st.just(0.0), st.builds(lambda sign, exponent: sign * 10.0**exponent,
                                                  st.sampled_from((-1.0, 1.0)), st.floats(-300.0, 300.0)))
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(g1=COUPLING, g2=COUPLING, rddi=COUPLING)
     def test_whole_domain(self, g1, g2, rddi):
         couplings = (f"--g1={g1!r}", f"--g2={g2!r}", f"--rddi={rddi!r}")
@@ -589,7 +590,7 @@ class TestDomainEdges:
     GEOMETRY_FLAGS = [action.option_strings[0] for action in SHARED_OPTIONS
                       if action.dest in cli.GEOMETRY_KEYS and action.type is float]
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=40)
     @given(overrides=st.dictionaries(st.sampled_from(GEOMETRY_FLAGS), COUPLING, max_size=3),
            x1=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2, unique=True))
     def test_grid_commands_over_the_whole_domain(self, overrides, x1):

@@ -86,6 +86,13 @@ class TestTimeSeries:
         with pytest.raises(ParameterError, match="^times and values must be finite$"):
             TimeSeries(times=np.array([0.0, 1.0]), values=np.array([0.0, math.nan]))
 
+    def test_leaves_the_callers_arrays_writable(self):
+        t, v = np.linspace(0.0, 1.0, 5), np.zeros(5)
+        series, direct = concurrence_series(P_REF, InitialState(), t), TimeSeries(times=t, values=v)
+        t[:] = v[:] = 7.0  # raises if either was frozen
+        assert series.times[-1] == direct.times[-1] == 1.0 and direct.values[-1] == 0.0
+        assert not (series.times.flags.writeable or direct.values.flags.writeable)
+
 
 class TestEvolve:
     def test_time_zero(self):
@@ -424,7 +431,7 @@ class TestPeakOptimum:
         assert np.all(np.diff(below) > 0.0)
         assert np.all(np.diff(above) < 0.0)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.one_of(
         st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e),
         st.floats(min_value=-1e-6, max_value=1e-6).map(lambda d: (1.0 + d) / math.sqrt(2.0)),
@@ -440,7 +447,7 @@ class TestPeakOptimum:
         with pytest.raises(DegenerateModel):
             peak_height(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e))
     def test_numeric_scan_at_every_scale(self, g1):
         rddi_opt, c_max = scan_peak_optimum(g1)
@@ -568,7 +575,7 @@ def state_route_concurrence(params: ModelParams, init: InitialState, t):
 
 class TestClosedFormDomain:
     # Couplings signed log-uniform over the documented domain and times log-uniform, each also 0.
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(g1=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING), rddi=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING),
            t=st.one_of(st.just(0.0), st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)))
     def test_in_unit_interval_or_refused(self, g1, rddi, t):
@@ -604,7 +611,7 @@ class TestOneMatrixBranches:
 
     COUPLING = st.one_of(st.just(0.0), SIGNED_LOG_COUPLING)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60)
     @given(g1=COUPLING, g2=COUPLING, rddi=COUPLING, mix=st.floats(min_value=0.0, max_value=1.0),
            phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
            t=st.one_of(st.just(0.0), st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)))
@@ -630,7 +637,7 @@ class TestOneMatrixBranches:
 
 
 class TestConcurrenceKernel:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         couplings=st.lists(st.tuples(SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING),
                            min_size=1, max_size=5),
@@ -650,7 +657,7 @@ class TestConcurrenceKernel:
         assert got.shape == (g.shape[0], len(taus))
         assert np.max(np.abs(got - state_route_concurrence(params, init, t))) <= 1e-13
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         g=st.tuples(SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING, SIGNED_LOG_COUPLING),
         signs=st.tuples(SIGN, SIGN, SIGN),

@@ -163,7 +163,7 @@ class TestFastPathAgreement:
         g1, rddi, inits, t = zip(*(draw() for _ in range(100)))
         assert cli._route_deviations(ModelParams(g1=g1, rddi=rddi), inits, t).max() <= 1e-10
 
-    @settings(max_examples=100, derandomize=True, deadline=None)
+    @settings(max_examples=100)
     @given(g1=SIGNED_LOG_COUPLING, g2=st.one_of(st.just(0.0), SIGNED_LOG_COUPLING), rddi=SIGNED_LOG_COUPLING,
            mix=st.floats(min_value=0.0, max_value=1.0), phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
            tau=st.floats(min_value=0.0, max_value=50.0))

@@ -326,7 +326,7 @@ class TestNumericPeak:
         value = numeric_peak_concurrence(p)
         assert value == pytest.approx(0.9295160030897799, rel=1e-6)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.floats(min_value=-3.0, max_value=3.0), st.floats(min_value=-3.0, max_value=3.0))
     def test_equals_closed_form_without_g2(self, log_g1, log_rddi):
         g1, rddi = 10.0**log_g1, 10.0**log_rddi
@@ -473,7 +473,7 @@ class TestNumericPeak:
         want = peak_height(ratio, 1.0)
         assert abs(numeric_peak_concurrence(ModelParams(g1=ratio, rddi=1.0)) - want) <= 1e-15 * want
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=12)
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
            st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3))
     def test_with_g2_between_the_sampled_maximum_and_one(self, exponents, signs):

@@ -1,7 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavitypair import (
+    CavityPairError,
     DegenerateModel,
     ModelParams,
     ParameterError,
@@ -15,6 +20,10 @@ from cavitypair import (
 )
 
 SQRT_HALF = 0.7071067811865476
+# Signed and log-uniform in 1e-300..1e300, or a zero of either sign; grid rows are never g1 = Gamma = 0.
+COUPLING = st.sampled_from((0.0, -0.0)) | st.tuples(st.floats(-300.0, 300.0), st.sampled_from((-1.0, 1.0))).map(
+    lambda p: p[1] * 10.0 ** p[0])
+GRID = st.lists(st.tuples(COUPLING, COUPLING).filter(any), min_size=1, max_size=6)
 
 
 class TestModelParams:
@@ -115,8 +124,8 @@ class TestAnalyticSpectrum:
         g1, rddi = np.random.default_rng(21).uniform(0.0, 1.0, size=(1000, 2)).T
         params = ModelParams(g1=g1, rddi=rddi)
         assert np.all(cli._spectrum_deviations(params)[0] <= 1e-12)
-        spectra = [analytic_spectrum(ModelParams(g1=a, rddi=b)) for a, b in zip(g1, rddi)]
-        analytic = np.array([np.column_stack((s.bright_minus, s.dark, s.bright_plus)) for s in spectra])
+        s = analytic_spectrum(params)
+        analytic = np.stack((s.bright_minus, s.dark, s.bright_plus), axis=-1)
         numeric = hermitian_eigendecompose(build_single_excitation_h(params)).eigenvectors
 
         def projectors(vectors):  # one outer product v v^dagger per eigenvector column
@@ -128,6 +137,31 @@ class TestAnalyticSpectrum:
         g1, rddi = np.random.default_rng(22).uniform(0.0, 1.0, size=(200, 2)).T
         _, dark = cli._spectrum_deviations(ModelParams(g1=g1, rddi=rddi))
         assert np.all(dark <= 1e-12 * np.maximum(g1, rddi))
+
+    @settings(max_examples=60)
+    @given(GRID)
+    def test_grid_rows_equal_one_model_calls_bit_for_bit(self, couplings):
+        g1, rddi = np.array(couplings).T
+        grid = analytic_spectrum(ModelParams(g1=g1, rddi=rddi))
+        for k, one in enumerate(analytic_spectrum(ModelParams(g1=a, rddi=b)) for a, b in couplings):
+            assert type(one.omega) is float and np.float64(one.omega).tobytes() == grid.omega[k].tobytes()
+            for name in ("dark", "bright_plus", "bright_minus"):
+                assert getattr(one, name).shape == (3,) and not getattr(grid, name).flags.writeable
+                assert getattr(one, name).tobytes() == getattr(grid, name)[k].tobytes()
+
+    @settings(max_examples=30)
+    @given(GRID, st.integers(min_value=0), st.sampled_from(["g2", "zero", "inf"]), COUPLING.filter(bool))
+    def test_one_bad_row_raises_its_own_error(self, couplings, where, bad, g2):
+        g1, rddi = np.array(couplings).T
+        g2s, k = np.zeros_like(g1), where % len(couplings)
+        if bad == "g2":
+            g2s[k] = g2
+        else:
+            g1[k] = rddi[k] = 0.0 if bad == "zero" else 1.5e308
+        with pytest.raises(CavityPairError) as alone:
+            analytic_spectrum(ModelParams(g1=float(g1[k]), g2=float(g2s[k]), rddi=float(rddi[k])))
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            analytic_spectrum(ModelParams(g1=g1, g2=g2s, rddi=rddi))
 
     def test_triple_orthonormal(self):
         s = analytic_spectrum(ModelParams(g1=0.8, rddi=0.33))

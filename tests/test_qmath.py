@@ -191,7 +191,7 @@ LOG_COUPLING = st.tuples(st.floats(min_value=-300.0, max_value=300.0), st.sample
 
 
 class TestStack:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         couplings=st.lists(st.tuples(LOG_COUPLING, LOG_COUPLING, LOG_COUPLING), min_size=1, max_size=8),
         times=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=6),
@@ -235,7 +235,7 @@ def _exp_reference(h, psi0, t):
 
 
 class TestRealKernel:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         couplings=st.lists(st.tuples(LOG_COUPLING, LOG_COUPLING, LOG_COUPLING), min_size=1, max_size=6),
         taus=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=5),
