@@ -20,7 +20,10 @@ import numpy as np
 
 from .dynamics import (
     InitialState,
+    _atom_weights,
+    _concurrence,
     _model_concurrence,
+    _model_decomposition,
     _period,
     concurrence_series,
     evolve,
@@ -31,7 +34,7 @@ from .dynamics import (
 )
 from .entanglement import wootters_concurrence, xstate_concurrence
 from .errors import DegenerateModel, NumericalContractError, ParameterError
-from .geometry import CavityGeometry, mesh, params_at, sweep_position
+from .geometry import CavityGeometry, coupling_at, mesh, params_at, sweep_position
 from .model import ModelParams, analytic_spectrum, build_effective_h, build_single_excitation_h
 from .qmath import evolve_spectral, hermitian_eigendecompose, rk4_schrodinger
 from .svgplot import line_plot, raster_plot
@@ -265,10 +268,11 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_evolve(cfg: dict) -> int:
     params = _model_params(cfg)
     grid = _time_grid(cfg, params.omega)
-    init = _initial_state(cfg)
-    psi = evolve(params, init, grid)
+    psi0 = _initial_state(cfg).vector()
+    decomp = _model_decomposition(params)  # one decomposition feeds the state and the concurrence columns
+    psi = evolve_spectral(decomp, psi0, grid)
     norms = np.linalg.norm(psi, axis=1)
-    concurrence = _model_concurrence(params, init, grid)
+    concurrence = _concurrence(_atom_weights(decomp, psi0), grid)
     header = ("t", "photon_re", "photon_im", "atom1_re", "atom1_im",
               "atom2_re", "atom2_im", "norm", "concurrence")
     parts = [part for amplitude in psi.T for part in (amplitude.real, amplitude.imag)]
@@ -276,11 +280,21 @@ def cmd_evolve(cfg: dict) -> int:
     return 0
 
 
+def _g2_bound(g2: float, period) -> np.ndarray:
+    """2 sqrt(2) |g2| period per row: the most that dropping g2 can move a peak (``SweepResult``).
+
+    A product beyond the largest double is stated as the largest double, still a bound (C is in [0, 1]).
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(2.0 * math.sqrt(2.0) * abs(g2) * np.asarray(period, dtype=float), sys.float_info.max)
+
+
 def cmd_sweep(cfg: dict) -> int:
-    result = sweep_position(_geometry(cfg), _x1_grid(cfg), numeric_peaks=cfg.get("numeric_peaks", False))
-    header = ["x1", "g1", "rddi", "ratio", "c_peak", "t_peak", "period"]
+    geo = _geometry(cfg)
+    result = sweep_position(geo, _x1_grid(cfg), numeric_peaks=cfg.get("numeric_peaks", False))
+    header = ["x1", "g1", "rddi", "ratio", "c_peak", "t_peak", "period", "g2_bound"]
     columns = [result.x1, result.g1, result.rddi, result.ratio,
-               result.c_peak, result.t_peak, result.period]
+               result.c_peak, result.t_peak, result.period, _g2_bound(coupling_at(geo, geo.x2), result.period)]
     if result.c_peak_numeric is not None:
         header.append("c_peak_numeric")
         columns.append(result.c_peak_numeric)
@@ -308,7 +322,11 @@ def cmd_peaks(cfg: dict) -> int:
         r_opt, c_opt = scan_peak_optimum(abs(params.g1))  # the peak depends on |g1| only
         optimum = peak_report(ModelParams(g1=params.g1, rddi=r_opt))
         rows.append(("optimum", params.g1, r_opt, optimum.ratio, c_opt, optimum.t_peak, optimum.period))
-    _emit(cfg, _csv(header, list(zip(*rows))))
+    columns = list(zip(*rows))
+    if not DIRECT_KEYS & cfg.keys():  # position mode: the closed forms drop the position's g2
+        header += ("g2_bound",)
+        columns.append(_g2_bound(params.g2, columns[-1]))
+    _emit(cfg, _csv(header, columns))
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CoincidentAtoms, NonpositiveSeparation, ParameterError
 from .dynamics import InitialState, _model_concurrence, numeric_peak_concurrence, peak_report
-from .model import ModelParams
+from .model import ModelParams, _float_or_array
 
 HZ_PER_MHZ = 1e6
 # CavityGeometry fields checked on construction, in order, with the sign each
@@ -122,18 +122,18 @@ def coupling_at(geo: CavityGeometry, x1):
     standing-wave phase 2 pi x1 w0/lambda that overflows raises ParameterError.
     """
     x1 = np.asarray(x1, dtype=float)
-    if not np.all(np.isfinite(x1)):
+    if not np.isfinite(x1).all():
         raise ParameterError("x1 must be finite")
-    # Clipping at |x1| = 28 (x1^2 = 784 > 745) changes no value and keeps x1^2 finite;
+    # Capping |x1| at 28 (x1^2 = 784 > 745) changes no value and keeps x1^2 finite;
     # where exp(-x1^2) is 0 the phase is taken at x1 = 0, so the coupling is exactly 0.0.
-    value = np.exp(-np.square(np.clip(x1, -28.0, 28.0)))
+    value = np.exp(-np.square(np.minimum(np.abs(x1), 28.0)))
     if geo.standing_wave:
         with np.errstate(over="ignore"):  # a phase that overflows is refused below
             phase = 2.0 * math.pi * np.where(value > 0.0, x1, 0.0) * float(geo.w0_um) / float(geo.lambda_um)
         if not np.all(np.isfinite(phase)):
             raise ParameterError("standing-wave phase 2 pi x1 w0/lambda overflows")
         value = value * np.cos(phase)
-    return float(value) if value.ndim == 0 else value
+    return _float_or_array(value)
 
 
 def rddi_at(geo: CavityGeometry, r):
@@ -145,11 +145,10 @@ def rddi_at(geo: CavityGeometry, r):
     warning; ``ModelParams`` rejects it.
     """
     r = np.asarray(r, dtype=float)
-    if not (np.all(np.isfinite(r)) and np.all(r > 0.0)):
+    if not (np.isfinite(r).all() and (r > 0.0).all()):
         raise NonpositiveSeparation(f"separation must be positive and finite, got {r!r}")
     with np.errstate(over="ignore"):  # ModelParams refuses the inf, so no warning is due
-        value = _multipole_hz(geo, geo.rddi_a_effective, r * float(geo.w0_um)) / geo.g0_hz
-    return float(value) if value.ndim == 0 else value
+        return _float_or_array(_multipole_hz(geo, geo.rddi_a_effective, r * float(geo.w0_um)) / geo.g0_hz)
 
 
 def params_at(geo: CavityGeometry, x1) -> ModelParams:
@@ -158,7 +157,7 @@ def params_at(geo: CavityGeometry, x1) -> ModelParams:
     An array x1 gives a grid of models; CoincidentAtoms if any x1 equals geo.x2.
     """
     separation = np.abs(np.asarray(x1, dtype=float) - float(geo.x2))
-    if np.any(separation == 0.0):
+    if (separation == 0.0).any():
         raise CoincidentAtoms(f"x1 = x2 = {geo.x2!r}")
     return ModelParams(
         g1=coupling_at(geo, x1),
@@ -204,7 +203,7 @@ def sweep_position(geo: CavityGeometry, x1_grid, numeric_peaks: bool = False) ->
     x1_grid = np.asarray(x1_grid, dtype=float)
     if x1_grid.ndim != 1 or x1_grid.size == 0:
         raise ParameterError("x1 grid must be a non-empty 1-d array")
-    if x1_grid.size > 1 and not np.all(np.diff(x1_grid) > 0.0):
+    if not (x1_grid[1:] > x1_grid[:-1]).all():
         raise ParameterError("x1 grid must be strictly ascending")
 
     grid = params_at(geo, x1_grid)
@@ -235,6 +234,6 @@ def mesh(geo: CavityGeometry, x1_grid, t_grid) -> np.ndarray:
     t_grid = np.asarray(t_grid, dtype=float)
     if x1_grid.ndim != 1 or x1_grid.size == 0 or t_grid.ndim != 1 or t_grid.size == 0:
         raise ParameterError("mesh grids must be non-empty 1-d arrays")
-    if not (np.all(np.isfinite(t_grid)) and np.all(np.diff(t_grid) > 0.0)):
+    if not (np.isfinite(t_grid).all() and (t_grid[1:] > t_grid[:-1]).all()):
         raise ParameterError("mesh times must be finite and strictly ascending")
     return _model_concurrence(params_at(geo, x1_grid), InitialState(), t_grid)

@@ -22,6 +22,11 @@ import numpy as np
 from .errors import DegenerateModel, ParameterError, ZeroCoupling
 
 
+def _float_or_array(x):
+    """A 0-d result as a Python float (one model), any other as the array itself (a grid)."""
+    return float(x) if x.ndim == 0 else x
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coupling frequencies defining the single-excitation Hamiltonian (g0 units).
@@ -43,7 +48,11 @@ class ModelParams:
             if all(map(math.isfinite, fields)):
                 return
             values = np.array(fields, dtype=float)
-        else:  # a grid: one array test
+        else:  # a grid: the shape rule, then one test per field; the broadcast copy only names a bad value
+            np.broadcast(*fields)
+            if all([math.isfinite(value) if isinstance(value, (float, int))
+                    else np.isfinite(np.asarray(value, dtype=float)).all() for value in fields]):
+                return
             values = np.array(np.broadcast_arrays(*fields), dtype=float)
         ok = np.isfinite(values)
         if not ok.all():
@@ -59,8 +68,7 @@ class ModelParams:
         is inf, with no warning.
         """
         with np.errstate(over="ignore"):
-            omega = np.hypot(self.g1, self.rddi)
-        return float(omega) if omega.ndim == 0 else omega
+            return _float_or_array(np.hypot(self.g1, self.rddi))
 
 
 @dataclass(frozen=True)

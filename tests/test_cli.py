@@ -130,6 +130,12 @@ class TestEvolve:
         emitted = np.array(column(header, rows, "concurrence"))
         assert np.max(np.abs(emitted - series.values)) == 0.0
 
+    def test_one_decomposition_feeds_states_and_concurrence(self, monkeypatch):
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(np.shape(m)) or eigh(m))
+        assert run_cli("evolve")[0] == 0
+        assert shapes == [(3, 3)]
+
     def test_single_point_grid(self):
         code, out, _ = run_cli("evolve", "--g1", "1", "--rddi", "0.5", "--t-steps", "1")
         assert code == 0
@@ -174,6 +180,18 @@ class TestSweep:
         numeric = np.array(column(header, rows, "c_peak_numeric"))
         assert np.max(np.abs(numeric - analytic) / analytic) <= 1e-6
 
+    @pytest.mark.parametrize("x2, grid", [(-5.0, ()), (-0.5, ("--x1-min", "-3", "--x1-max", "3", "--x1-steps", "41"))])
+    def test_g2_bound_covers_the_dropped_g2(self, x2, grid):
+        code, out, _ = run_cli("sweep", "--numeric-peaks", f"--x2={x2!r}", *grid)
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[-2:] == ["g2_bound", "c_peak_numeric"]
+        bound, period, analytic, numeric = (np.array(column(header, rows, name))
+                                            for name in ("g2_bound", "period", "c_peak", "c_peak_numeric"))
+        g2 = params_at(CavityGeometry(x2=x2), 0.0).g2
+        np.testing.assert_array_equal(bound, 2.0 * math.sqrt(2.0) * abs(g2) * period)
+        assert np.all(np.abs(numeric - analytic) <= bound)
+
 
 class TestMesh:
     def test_row_major_layout_and_zero_start(self):
@@ -210,6 +228,17 @@ class TestPeaks:
         assert column(header, rows, "c_peak") == [0.92951600308977989]
         assert column(header, rows, "t_peak") == [1.8732839282775269]
         assert column(header, rows, "period") == [5.6198517848325809]
+
+    def test_position_mode_states_the_g2_bound(self):
+        code, out, _ = run_cli("peaks", "--x1", "0.5", "--x2", "-0.5", "--scan-rddi", "0.1:1:3")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header[-1] == "g2_bound" and len(rows) == 5
+        g2 = params_at(CavityGeometry(x2=-0.5), 0.5).g2
+        assert column(header, rows, "g2_bound") == [2.0 * math.sqrt(2.0) * abs(g2) * period
+                                                    for period in column(header, rows, "period")]
+        # Direct input refuses g2 != 0, so it has no such column.
+        assert "g2_bound" not in run_cli("peaks", "--g1", "1", "--rddi", "0.5")[1]
 
     def test_no_exchange_zero_peak(self):
         code, out, _ = run_cli("peaks", "--g1", "1", "--rddi", "0")
@@ -599,6 +628,13 @@ class TestDomainEdges:
         for command in (("sweep",), ("mesh", "--t-steps", "3"), ("plot", "--kind", "sweep"),
                         ("plot", "--kind", "mesh", "--t-steps", "3")):
             run_within_contract(*command, *options)
+
+    def test_g2_bound_beyond_the_largest_double_is_the_largest_double(self):
+        args = ("sweep", "--x2", "0", "--gamma-ref-hz", "1e-300", "--x1-min", "26.6", "--x1-max", "26.6",
+                "--x1-steps", "1")
+        assert run_within_contract(*args) == 0
+        header, rows = parse_csv(run_cli(*args)[1])
+        assert column(header, rows, "g2_bound", str) == ["1.7976931348623157e+308"]
 
     def test_peaks_refuses_g2(self, tmp_path):
         refusal = (2, "", "error: ParameterError: peak analytics are defined for g2 = 0 only\n")

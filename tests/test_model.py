@@ -52,6 +52,12 @@ class TestModelParams:
         grid = ModelParams(g1=np.array([-1.0, 1.0]), g2=-1e-11, rddi=np.array([0.5, -0.5]))
         np.testing.assert_array_equal(grid.g1, [-1.0, 1.0])
 
+    def test_rejects_fields_that_do_not_broadcast(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ModelParams(g1=np.ones(3), rddi=np.ones(4))
+        with pytest.raises(ValueError, match="shape mismatch"):  # the shape rule comes before finiteness
+            ModelParams(g1=np.ones(3), g2=np.full(2, np.nan))
+
 
 class TestBuildH:
     def test_matrix_layout(self):
