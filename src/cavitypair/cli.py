@@ -403,7 +403,7 @@ def _peak_offsets(params: ModelParams):
     grids = np.linspace(0.0, 3.0 * _period(params.omega), 30_001, axis=-1)
     values = _model_concurrence(params, InitialState(), grids)
     peaks = values[:, :-1].reshape(len(values), 6, 5_000).argmax(axis=-1) + 5_000 * np.arange(6)
-    expected = np.array([peak_times(g1, rddi, m_max=5) for g1, rddi in zip(params.g1, params.rddi)])
+    expected = peak_times(params.g1, params.rddi, m_max=5)
     times = np.take_along_axis(grids, peaks, axis=-1)
     return (np.abs(times - expected) / (grids[:, 1:2] - grids[:, :1])).ravel()
 

@@ -300,22 +300,26 @@ def closed_form_concurrence(g1: float, rddi: float, t):
     return _float_or_array(peak_amplitude(g1, rddi) * np.abs(np.sin(phase)) * (1.0 - np.cos(phase)))
 
 
-def peak_times(g1: float, rddi: float, m_max: int = 1) -> np.ndarray:
+def peak_times(g1, rddi, m_max: int = 1) -> np.ndarray:
     """Times (3m +/- 1) pi / (3 Omega) of the concurrence maxima, m = 1, 3, ... m_max.
 
+    Shape (m_max + 1,) for one model; a grid's rows (shape s + (m_max + 1,)) equal its one-model calls.
     Each time is (3m +/- 1)/2 times the first, period/3 (``peak_report``'s
     ``t_peak``, bit for bit).  Raises ParameterError for a non-finite
     coupling, and DegenerateModel, with no warning, when Omega = 0 or inf,
-    or the period or a peak time overflows.
+    or the period or a peak time overflows (naming a grid's first such model).
     """
     if m_max < 1 or m_max % 2 == 0:
         raise ParameterError(f"m_max = {m_max!r} must be an odd integer >= 1")
     period = _period(ModelParams(g1=g1, rddi=rddi).omega)
     ms = np.arange(1, m_max + 1, 2, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing time is refused below
-        times = np.sort(np.concatenate([3.0 * ms - 1.0, 3.0 * ms + 1.0]) / 2.0 * (period / 3.0))
-    if np.isinf(times[-1]):
-        raise DegenerateModel(f"peak time {3 * m_max + 1}/6 x period {period!r} overflows")
+        times = np.multiply.outer(period / 3.0, np.sort(np.concatenate([3.0 * ms - 1.0, 3.0 * ms + 1.0]) / 2.0))
+    overflow = np.isinf(times[..., -1])
+    if overflow.any():
+        i = np.flatnonzero(overflow)[0]
+        where = f" (model {i})" if np.ndim(period) else ""
+        raise DegenerateModel(f"peak time {3 * m_max + 1}/6 x period {float(np.ravel(period)[i])!r} overflows{where}")
     return times
 
 

@@ -16,6 +16,9 @@ States produced by tracing the cavity mode out of a single-excitation pure
 state carry a single coherence between |eg> and |ge> and no |ee> weight; for
 those the concurrence reduces exactly to twice the coherence magnitude, which
 ``xstate_concurrence`` exploits after checking the sparsity pattern.
+
+Every tolerance check of both routes goes through ``qmath._require_within``:
+NaN fails, and the message reads ``{what} {value:.3e} exceeds {bound:.3e} (matrix 0)``.
 """
 
 import math
@@ -23,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import InvalidDensityMatrix, PatternMismatch
-from .qmath import hermitian_eigendecompose, hermiticity_defect
+from .qmath import _require_within, hermitian_eigendecompose, hermiticity_defect
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
@@ -36,14 +39,7 @@ RANK_TOL = 1e-13
 _OFF_PATTERN = tuple((i, j) for i in range(4) for j in range(4) if i != j and {i, j} != {1, 2})
 
 # (sigma_y x sigma_y) on the ordered basis (|ee>, |eg>, |ge>, |gg>).
-SPIN_FLIP = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
+SPIN_FLIP = np.array([[0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
 
 
 def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
@@ -55,11 +51,8 @@ def _as_density_matrix(rho: np.ndarray) -> tuple[np.ndarray, float]:
     if rho.shape != (4, 4):
         raise InvalidDensityMatrix(f"expected a 4x4 matrix, got shape {rho.shape}")
     defect = hermiticity_defect(rho)
-    if not defect <= HERMITICITY_TOL:
-        raise InvalidDensityMatrix(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
-    trace = float(rho.trace().real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise InvalidDensityMatrix(f"trace {trace!r} deviates from 1 beyond {TRACE_TOL:.0e}")
+    _require_within(defect, HERMITICITY_TOL, InvalidDensityMatrix, "Hermiticity defect")
+    _require_within(abs(float(rho.trace().real) - 1.0), TRACE_TOL, InvalidDensityMatrix, "|trace - 1|")
     return rho, defect
 
 
@@ -75,7 +68,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     ------
     InvalidDensityMatrix
         On Hermiticity/trace/positivity violations beyond tolerance, or if
-        the computed value exceeds 1 by more than the 1e-10 clamp slack.
+        the computed value exceeds 1 + 1e-10 (the clamp slack).
     NonHermitianInput
         If the Hermiticity defect, within the absolute 1e-12, still exceeds
         1e-12 * max|rho_ij| (the eigensolver's relative bound).
@@ -83,8 +76,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     rho, defect = _as_density_matrix(rho)
     decomp = hermitian_eigendecompose(rho, _defect=defect)  # the relative bound, on the same measurement
     eigenvalues = decomp.eigenvalues
-    if eigenvalues[0] < -PSD_TOL:
-        raise InvalidDensityMatrix(f"negative eigenvalue {eigenvalues[0]!r} beyond -{PSD_TOL:.0e}")
+    _require_within(-eigenvalues[0], PSD_TOL, InvalidDensityMatrix, "-min eigenvalue")
 
     # Positivity slack must not leak into the square root, and eps-size
     # eigenvalues of rank-deficient states must be flattened to exact zeros:
@@ -100,8 +92,7 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     lam = np.linalg.svd(k, compute_uv=False).tolist()
 
     value = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-    if value > 1.0 + CLAMP_SLACK:
-        raise InvalidDensityMatrix(f"concurrence {value!r} exceeds 1 beyond clamp slack")
+    _require_within(value, 1.0 + CLAMP_SLACK, InvalidDensityMatrix, "concurrence")
     return min(value, 1.0)
 
 
@@ -115,22 +106,16 @@ def xstate_concurrence(rho: np.ndarray) -> float:
     produced by the reduced-density pipeline.
     """
     r = _as_density_matrix(rho)[0].tolist()  # finite entries: Python arithmetic from here on
-    stray = max(abs(r[i][j]) for i, j in _OFF_PATTERN)
-    if stray > PATTERN_TOL:
-        raise PatternMismatch(f"off-pattern element of magnitude {stray:.3e} present")
+    _require_within(max(abs(r[i][j]) for i, j in _OFF_PATTERN), PATTERN_TOL, PatternMismatch, "off-pattern |rho_ij|")
 
     populations = [r[i][i].real for i in range(4)]
-    if min(populations) < -PSD_TOL:
-        raise InvalidDensityMatrix(f"negative population {min(populations)!r}")
+    _require_within(-min(populations), PSD_TOL, InvalidDensityMatrix, "-min population")
     coherence = abs(r[1][2])
     # PSD of the central 2x2 block, checked in closed form.
     block_min = 0.5 * (populations[1] + populations[2]) - math.hypot(
         0.5 * (populations[1] - populations[2]), coherence
     )
-    if block_min < -PSD_TOL:
-        raise InvalidDensityMatrix(f"coherence block eigenvalue {block_min!r} negative")
-    if populations[0] * populations[3] > coherence**2 + PATTERN_TOL:
-        raise PatternMismatch(
-            "outer populations dominate the coherence; fast path does not apply"
-        )
+    _require_within(-block_min, PSD_TOL, InvalidDensityMatrix, "-min coherence-block eigenvalue")
+    _require_within(populations[0] * populations[3], coherence**2 + PATTERN_TOL, PatternMismatch,
+                    "outer population product")
     return 2.0 * coherence

@@ -175,26 +175,22 @@ def test_11_cli_determinism(tmp_path):
     cfg = tmp_path / "fixed.cfg"
     cfg.write_text("g1 = 1\nrddi = 0.5\nt_steps = 50\n")
     invocations = [
-        ("spectrum", ["spectrum", "--config", str(cfg)]),
-        ("evolve", ["evolve", "--config", str(cfg)]),
-        ("sweep", ["sweep", "--x1-steps", "7"]),
-        ("mesh", ["mesh", "--x1-steps", "3", "--t-steps", "5"]),
-        ("peaks", ["peaks", "--g1", "1", "--scan-rddi", "0.2:1.5:25"]),
-        ("plot", ["plot", "--config", str(cfg)]),
+        ["spectrum", "--config", str(cfg)],
+        ["evolve", "--config", str(cfg)],
+        ["sweep", "--x1-steps", "7"],
+        ["mesh", "--x1-steps", "3", "--t-steps", "5"],
+        ["peaks", "--g1", "1", "--scan-rddi", "0.2:1.5:25"],
+        ["plot", "--config", str(cfg)],
     ]
-    stable = []
-    for name, args in invocations:
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "cavitypair.cli", *args],
-                capture_output=True, check=True)
-            for _ in range(2)
-        ]
-        stable.append(
-            runs[0].stdout == runs[1].stdout and len(runs[0].stdout) > 0)
-    selftest = subprocess.run(
-        [sys.executable, "-m", "cavitypair.cli", "selftest"], capture_output=True)
+    # Each subcommand twice, then the selftest: all 13 cold interpreters start at once, then each is waited for.
+    commands = [args for args in invocations for _ in range(2)] + [["selftest"]]
+    procs = [subprocess.Popen([sys.executable, "-m", "cavitypair.cli", *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for args in commands]
+    outputs = [proc.communicate() for proc in procs]
+    codes = [proc.returncode for proc in procs]
+    assert codes[:-1] == [0] * 12, [err for (_, err), code in zip(outputs, codes) if code]
+    stable = [outputs[i][0] == outputs[i + 1][0] and len(outputs[i][0]) > 0 for i in range(0, 12, 2)]
     report(
         "11 cli determinism",
-        all(stable) and selftest.returncode == 0,
-        f"byte-identical {sum(stable)}/6 subcommands, selftest exit {selftest.returncode}")
+        all(stable) and codes[-1] == 0,
+        f"byte-identical {sum(stable)}/6 subcommands, selftest exit {codes[-1]}")

@@ -352,15 +352,16 @@ class TestSelftest:
         ("spectrum-oracle", "analytic_spectrum"),
         ("concurrence-equivalence", "evolve"),
         ("peak-placement", "_model_concurrence"),
+        ("peak-placement", "peak_times"),
     ])
     def test_one_stacked_call_per_check(self, monkeypatch, name, attribute):
         # The check runs its models through one call of the batched function.
         calls = []
         batched = getattr(cli, attribute)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return batched(*args)
+            return batched(*args, **kwargs)
 
         check = [entry for entry in cli._selftest_checks() if entry[0] == name]
         monkeypatch.setattr(cli, "_selftest_checks", lambda: check)

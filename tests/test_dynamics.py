@@ -47,6 +47,10 @@ PEAK_STATE = np.array([-0.2, -0.7745966692414834j, -0.6])
 
 P_REF = ModelParams(g1=1.0, rddi=0.5)
 
+SIGN = st.sampled_from((-1.0, 1.0))
+SIGNED_LOG_COUPLING = st.tuples(st.floats(min_value=-300.0, max_value=300.0), SIGN).map(
+    lambda p: p[1] * 10.0 ** p[0])
+
 
 class TestInitialState:
     def test_default_is_photon_fed(self):
@@ -305,6 +309,21 @@ class TestPeakTimes:
         with np.errstate(all="raise"), pytest.raises(DegenerateModel, match=message):
             peak_times(g1, 0.0, m_max=m_max)
 
+    @settings(max_examples=60)
+    @given(g1=st.lists(SIGNED_LOG_COUPLING, min_size=1, max_size=4),
+           rddi=st.lists(SIGNED_LOG_COUPLING, min_size=1, max_size=4), m_max=st.sampled_from((1, 3, 5)))
+    def test_grid_rows_are_one_model_calls(self, g1, rddi, m_max):
+        times = peak_times(np.array(g1)[:, None], np.array(rddi), m_max=m_max)
+        assert times.shape == (len(g1), len(rddi), m_max + 1)
+        for i, a in enumerate(g1):
+            for j, b in enumerate(rddi):
+                assert np.array_equal(times[i, j], peak_times(a, b, m_max=m_max))
+
+    def test_one_overflowing_row_is_named(self):
+        with np.errstate(all="raise"), pytest.raises(DegenerateModel) as info:
+            peak_times(np.array([1.0, 0.5, 3.5e-308, 3.6e-308]), 0.0, m_max=3)
+        assert str(info.value) == f"peak time 10/6 x period {2.0 * math.pi / 3.5e-308!r} overflows (model 2)"
+
     def test_times_below_the_overflow_limit(self):
         times = peak_times(3.5e-308, 0.0)
         np.testing.assert_allclose(times, np.array([2.0, 4.0]) * math.pi / (3.0 * 3.5e-308), rtol=1e-15)
@@ -556,11 +575,6 @@ def test_peak_amplitude_matches_a_200_bit_reference():
     normal = exact >= np.finfo(float).tiny
     assert normal.sum() > n  # every ratio point and some of the independent couplings
     assert np.max(np.abs(got[normal] - exact[normal]) / exact[normal]) <= 1e-15
-
-
-SIGN = st.sampled_from((-1.0, 1.0))
-SIGNED_LOG_COUPLING = st.tuples(st.floats(min_value=-300.0, max_value=300.0), SIGN).map(
-    lambda p: p[1] * 10.0 ** p[0])
 
 
 def initial_state(mix: float, phase: float) -> InitialState:

@@ -142,8 +142,9 @@ class TestXstate:
 
     def test_rejects_negative_population(self):
         rho = single_coherence_rho([-1e-6, 0.5, 0.5 + 1e-6, 0.0], 0.0)
-        with pytest.raises(InvalidDensityMatrix, match=r"^negative population -1e-06$"):
+        with pytest.raises(InvalidDensityMatrix) as info:
             xstate_concurrence(rho)
+        assert str(info.value) == "-min population 1.000e-06 exceeds 1.000e-10 (matrix 0)"
 
 
 class TestFastPathAgreement:
@@ -190,7 +191,7 @@ class TestWoottersChecks:
         rho[0, 3] = 1e-9
         with pytest.raises(InvalidDensityMatrix) as info:
             wootters_concurrence(rho)
-        assert str(info.value) == "Hermiticity defect 1.000e-09 exceeds 1e-12"
+        assert str(info.value) == "Hermiticity defect 1.000e-09 exceeds 1.000e-12 (matrix 0)"
 
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (0, 3)])
     @pytest.mark.parametrize("concurrence", [wootters_concurrence, xstate_concurrence])
@@ -199,13 +200,13 @@ class TestWoottersChecks:
         rho[entry] = np.nan
         with pytest.raises(InvalidDensityMatrix) as info:
             concurrence(rho)
-        assert str(info.value) == "Hermiticity defect nan exceeds 1e-12"
+        assert str(info.value) == "Hermiticity defect nan exceeds 1.000e-12 (matrix 0)"
 
     def test_unnormalized(self):
         rho = 1.1 * reduced_density(PEAK_STATE)
         with pytest.raises(InvalidDensityMatrix) as info:
             wootters_concurrence(rho)
-        assert str(info.value) == "trace 1.1 deviates from 1 beyond 1e-10"
+        assert str(info.value) == "|trace - 1| 1.000e-01 exceeds 1.000e-10 (matrix 0)"
 
     def test_one_hermiticity_pass_per_call(self, monkeypatch):
         # The absolute bound and the eigensolver's relative bound judge one measurement.
@@ -225,4 +226,58 @@ class TestWoottersChecks:
         monkeypatch.setattr(np.linalg, "svd", lambda k, compute_uv: np.array([1.5, 0.0, 0.0, 0.0]))
         with pytest.raises(InvalidDensityMatrix) as info:
             wootters_concurrence(reduced_density(PEAK_STATE))
-        assert str(info.value) == "concurrence 1.5 exceeds 1 beyond clamp slack"
+        assert str(info.value) == "concurrence 1.500e+00 exceeds 1.000e+00 (matrix 0)"
+
+
+def _clamped(excess, monkeypatch):
+    # No density matrix gives these singular values: the excess over 1 stands in for rounding.
+    monkeypatch.setattr(np.linalg, "svd", lambda k, compute_uv: np.array([1.0 + excess, 0.0, 0.0, 0.0]))
+    return reduced_density(PEAK_STATE)
+
+
+def _non_hermitian(defect, _):
+    # An imaginary part of a diagonal entry adds twice itself to max|rho - rho^dagger|, exactly.
+    return single_coherence_rho([0.125 + 0.5j * defect, 0.375, 0.375, 0.125], 0.25)
+
+
+def _off_pattern(magnitude, _):
+    rho = single_coherence_rho([0.125, 0.375, 0.375, 0.125], 0.25)
+    rho[0, 3] = rho[3, 0] = magnitude
+    return rho
+
+
+def _negative_population(e, _):
+    return single_coherence_rho([-e, 0.375, 0.375, 0.25 + e], 0.25)
+
+
+class TestEachBound:
+    """Every two-qubit tolerance check, judged by ``qmath._require_within``: just past its bound it raises its
+    class with the judge's message, and just inside it the call returns a concurrence."""
+
+    @pytest.mark.parametrize("concurrence, make, past, inside, error, message", [
+        pytest.param(xstate_concurrence, _non_hermitian, 1.01e-12, 1e-12, InvalidDensityMatrix,
+                     "Hermiticity defect 1.010e-12 exceeds 1.000e-12 (matrix 0)", id="hermiticity"),
+        pytest.param(wootters_concurrence, lambda e, _: single_coherence_rho([0.125 + e, 0.375, 0.375, 0.125], 0.25),
+                     1.01e-10, 0.99e-10, InvalidDensityMatrix,
+                     "|trace - 1| 1.010e-10 exceeds 1.000e-10 (matrix 0)", id="trace"),
+        pytest.param(wootters_concurrence, _negative_population, 1.01e-10, 0.99e-10, InvalidDensityMatrix,
+                     "-min eigenvalue 1.010e-10 exceeds 1.000e-10 (matrix 0)", id="negative-eigenvalue"),
+        pytest.param(wootters_concurrence, _clamped, 1.01e-10, 0.99e-10, InvalidDensityMatrix,
+                     "concurrence 1.000e+00 exceeds 1.000e+00 (matrix 0)", id="clamp-slack"),
+        pytest.param(xstate_concurrence, _off_pattern, 1.01e-12, 0.99e-12, PatternMismatch,
+                     "off-pattern |rho_ij| 1.010e-12 exceeds 1.000e-12 (matrix 0)", id="off-pattern"),
+        pytest.param(xstate_concurrence, _negative_population, 1.01e-10, 0.99e-10, InvalidDensityMatrix,
+                     "-min population 1.010e-10 exceeds 1.000e-10 (matrix 0)", id="negative-population"),
+        pytest.param(xstate_concurrence, lambda e, _: single_coherence_rho([0.125, 0.375, 0.375, 0.125], 0.375 + e),
+                     1.01e-10, 0.99e-10, InvalidDensityMatrix,
+                     "-min coherence-block eigenvalue 1.010e-10 exceeds 1.000e-10 (matrix 0)", id="coherence-block"),
+        pytest.param(xstate_concurrence, lambda p, _: single_coherence_rho([p, 0.375, 0.375, 0.25 - p], 0.0),
+                     4.04e-12, 3.96e-12, PatternMismatch,
+                     "outer population product 1.010e-12 exceeds 1.000e-12 (matrix 0)", id="outer-populations"),
+    ])
+    def test_just_past_raises_and_just_inside_passes(self, monkeypatch, concurrence, make, past, inside, error,
+                                                     message):
+        with pytest.raises(error) as info:
+            concurrence(make(past, monkeypatch))
+        assert type(info.value) is error and str(info.value) == message
+        assert 0.0 <= concurrence(make(inside, monkeypatch)) <= 1.0
