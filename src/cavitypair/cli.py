@@ -268,11 +268,11 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_evolve(cfg: dict) -> int:
     params = _model_params(cfg)
     grid = _time_grid(cfg, params.omega)
-    psi0 = _initial_state(cfg).vector()
+    init = _initial_state(cfg)
     decomp = _model_decomposition(params)  # one decomposition feeds the state and the concurrence columns
-    psi = evolve_spectral(decomp, psi0, grid)
+    psi = evolve_spectral(decomp, init.vector(), grid)
     norms = np.linalg.norm(psi, axis=1)
-    concurrence = _concurrence(_atom_weights(decomp, psi0), grid)
+    concurrence = _concurrence(_atom_weights(decomp, init), grid)
     header = ("t", "photon_re", "photon_im", "atom1_re", "atom1_im",
               "atom2_re", "atom2_im", "norm", "concurrence")
     parts = [part for amplitude in psi.T for part in (amplitude.real, amplitude.imag)]

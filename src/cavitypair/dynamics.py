@@ -86,6 +86,14 @@ class InitialState:
         return np.array([self.alpha, self.beta, 0.0], dtype=complex)
 
 
+def _grid(x, name: str) -> np.ndarray:
+    """A float copy of the grid x; ParameterError unless it is 1-d, non-empty, finite and strictly ascending."""
+    x = np.array(x, dtype=float)
+    if not (x.ndim == 1 and x.size and np.isfinite(x).all() and (x[1:] > x[:-1]).all()):
+        raise ParameterError(f"{name} must be a non-empty 1-d grid, finite and strictly ascending")
+    return x
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Strictly ascending times (units 1/g0) with one finite value per time."""
@@ -94,15 +102,11 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)  # copies: freezing leaves the caller's arrays writable
+        times = _grid(self.times, "times")  # copies: freezing leaves the caller's arrays writable
         values = np.array(self.values, dtype=float)
-        if times.ndim != 1 or values.shape != times.shape:
+        if values.shape != times.shape:
             raise ParameterError("times and values must be 1-d arrays of equal length")
-        if times.size == 0:
-            raise ParameterError("empty time grid")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ParameterError("times must be strictly ascending")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        if not np.isfinite(values).all():
             raise ParameterError("times and values must be finite")
         times.setflags(write=False)
         values.setflags(write=False)
@@ -134,8 +138,8 @@ def evolve(params: ModelParams, init: InitialState, t) -> np.ndarray:
     return evolve_spectral(_model_decomposition(params), init.vector(), t)
 
 
-def _atom_weights(decomp: SpectralDecomposition, psi0: np.ndarray):
-    """Atom-row weights of the concurrence kernel for one decomposition (or a stack) and psi0.
+def _atom_weights(decomp: SpectralDecomposition, init: InitialState):
+    """Atom-row weights of the concurrence kernel for one decomposition (or a stack) and psi0 = init.vector().
 
     With w_rj = V_rj (V^dagger psi0)_j for r = 1, 2 (atom 1, atom 2), the
     amplitudes are b, c = e^{-i E_0 t} sum_j w_rj e^{-i (E_j - E_0) t}.  The
@@ -150,7 +154,7 @@ def _atom_weights(decomp: SpectralDecomposition, psi0: np.ndarray):
     shapes (..., 2) and (..., 5, 4); indexing both by rows of a stack gives
     the weights of those members.
     """
-    psi0 = _require_normalized(psi0, decomp.dim)
+    psi0 = init.vector()
     vectors = decomp.eigenvectors
     w = np.empty(vectors.shape[:-2] + (3, 2), dtype=complex)  # w[..., j, r]: state j, atom r
     np.multiply(vectors[..., 1:3, :].swapaxes(-1, -2), (_dagger(vectors) @ psi0)[..., None], out=w)
@@ -221,7 +225,7 @@ def _concurrence(weights, t) -> np.ndarray:
 
 def _model_concurrence(params: ModelParams, init: InitialState, t) -> np.ndarray:
     """Propagated concurrence of a model (or a grid of them, stacked in front) at time(s) t."""
-    return _concurrence(_atom_weights(_model_decomposition(params), init.vector()), t)
+    return _concurrence(_atom_weights(_model_decomposition(params), init), t)
 
 
 def reduced_density(psi: np.ndarray) -> np.ndarray:
@@ -251,7 +255,7 @@ def concurrence_series(params: ModelParams, init: InitialState, t_grid) -> TimeS
     is evaluated here (the general-formula equivalence is enforced by the
     test suite and the CLI selftest).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _grid(t_grid, "times")
     return TimeSeries(times=t_grid, values=_model_concurrence(params, init, t_grid))
 
 
@@ -268,16 +272,13 @@ def _any(condition) -> bool:
 def peak_amplitude(g1, rddi):
     """Amplitude 2 g1^2 |Gamma|/Omega^3 of the concurrence; callers reject g1 = Gamma = 0.
 
-    Signed couplings enter through |g1| and |Gamma|.  With s = min/max of
+    The couplings are ones that ``ModelParams`` accepts (finite).  Signed
+    couplings enter through |g1| and |Gamma|.  With s = min/max of
     (|g1|, |Gamma|) it is 2s/(1+s^2)^{3/2} when |g1| >= |Gamma| and
     2s^2/(1+s^2)^{3/2} otherwise, so no scale overflows or underflows.
-    Raises ParameterError for a coupling that is not finite (one test, on
-    the larger magnitude).
     """
     g1, rddi = abs(_values(g1)), abs(_values(rddi))
     m = np.maximum(g1, rddi)
-    if not (math.isfinite(m) if m.ndim == 0 else np.isfinite(m).all()):
-        raise ParameterError(f"couplings must be finite, got max(|g1|, |rddi|) = {float(np.max(m))!r}")
     a, b = g1 / m, rddi / m
     omega = np.hypot(a, b)
     return _float_or_array(np.minimum(2.0 * a * a * b / (omega * omega * omega), _AMPLITUDE_MAX))
@@ -386,18 +387,20 @@ def numeric_peak_concurrence(params: ModelParams):
     C^2 plus the slack exceeds its row's best C^2 (strictly, so a row with
     C = 0 throughout stops at round 0) and splits it into 8, until
     W d <= 5e-8.  The result is an attained value of the float64 kernel,
-    never above that kernel's own maximum, and within a few eps relative of
-    the exact one on either side (-2.1e-15 to +7.8e-16 against a 40-digit
-    reference on four rows).  Work runs in kernel slices of
-    _KERNEL_POINTS = 8192 points.  The breadth is bounded a priori by n,
-    the larger of 64 and period W/0.2 (cells of width 0.2/W): a call whose
-    n + 1 summed over its models ("coarse samples") exceeds 2^27 raises
-    ParameterError before any sample, so memory and run time stay bounded
-    at any W/Omega.  Below the eigensolver's floor (``_concurrence``: Gamma
-    under about 1.5e-154 at g1 = 1) the kernel gives C = 0, and so does the
-    search.  On a small grid the cost is per call, not per point: an 8-row
-    block of the default geometry makes 10 kernel calls on about 2 500
-    points in all and takes about 0.7 ms (shared 2-vCPU Xeon, numpy 2.4).
+    never above that kernel's own maximum.  It is within a few eps of the
+    exact one, either side, where the phase bound eps max|E| period is a few
+    eps (1.4e-15 on the default geometry; -2.1e-15 to +7.8e-16 against a
+    40-digit reference on four rows).  That bound limits wide rows: x1 = -2.7
+    with x2 = -0.5 reads 1.62e-13 below, the bound 1.4e-12.  Work runs in
+    kernel slices of _KERNEL_POINTS = 8192 points.  The breadth is bounded a
+    priori by n, the larger of 64 and period W/0.2 (cells of width 0.2/W): a
+    call whose n + 1 summed over its models ("coarse samples") exceeds 2^27
+    raises ParameterError before any sample, so memory and run time stay
+    bounded at any W/Omega.  Below the eigensolver's floor (``_concurrence``:
+    Gamma under about 1.5e-154 at g1 = 1) the kernel gives C = 0, and so does
+    the search.  On a small grid the cost is per call, not per point: an 8-row
+    block of the default geometry makes 10 kernel calls on about 2 500 points
+    in all and takes about 1.45 ms (shared 2-vCPU Xeon, numpy 2.4.6).
     The memory is the frontier, 16 bytes per kept cell of two rounds at
     once: the n = 4.3e7 row (``--x2 -0.5 --gamma-ref-hz 0.1``, x1 = 3.7)
     keeps up to 2.1 million cells a round, 64 MiB of arrays at the peak.
@@ -407,7 +410,7 @@ def numeric_peak_concurrence(params: ModelParams):
     shape = h.shape[:-2]
     decomp = hermitian_eigendecompose(h.reshape(-1, 3, 3))
     energies, vectors = decomp.eigenvalues, decomp.eigenvectors
-    gaps, weights = _atom_weights(decomp, InitialState().vector())
+    gaps, weights = _atom_weights(decomp, InitialState())
     period = np.broadcast_to(period, shape).ravel()
     width = energies[:, -1] - energies[:, 0]
     weight = np.abs(vectors * vectors[:, :1, :])
@@ -471,8 +474,7 @@ def peak_height(g1, rddi):
     ParameterError for a coupling that is not finite, and DegenerateModel
     when g1 = Gamma = 0.
     """
-    g1, rddi = _values(g1), _values(rddi)
-    if _any((g1 == 0.0) & (rddi == 0.0)):
+    if _any(ModelParams(g1=g1, rddi=rddi).omega == 0.0):  # ModelParams checks the couplings: finite
         raise DegenerateModel("g1 = rddi = 0: Omega = 0")
     return peak_amplitude(g1, rddi) * _PEAK_SHAPE
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentAtoms, NonpositiveSeparation, ParameterError
-from .dynamics import InitialState, _model_concurrence, numeric_peak_concurrence, peak_report
+from .dynamics import InitialState, _grid, _model_concurrence, numeric_peak_concurrence, peak_report
 from .model import ModelParams, _float_or_array
 
 HZ_PER_MHZ = 1e6
@@ -193,26 +193,21 @@ class SweepResult:
 
 
 def sweep_position(geo: CavityGeometry, x1_grid, numeric_peaks: bool = False) -> SweepResult:
-    """Peak analytics at each atom-1 position of an ascending grid.
+    """Peak analytics at each atom-1 position of a grid (1-d, non-empty, finite, strictly ascending).
 
     The analytic columns are the g2 = 0 closed forms on the whole grid at once;
     numeric_peaks adds the full-g2 numeric peak column, searched for every
     position in one stack, as the diagnostic against which the g2 truncation
     is judged.
     """
-    x1_grid = np.asarray(x1_grid, dtype=float)
-    if x1_grid.ndim != 1 or x1_grid.size == 0:
-        raise ParameterError("x1 grid must be a non-empty 1-d array")
-    if not (x1_grid[1:] > x1_grid[:-1]).all():
-        raise ParameterError("x1 grid must be strictly ascending")
-
+    x1_grid = _grid(x1_grid, "x1")
     grid = params_at(geo, x1_grid)
     peaks = peak_report(ModelParams(g1=grid.g1, rddi=grid.rddi))
     numeric = None
     if numeric_peaks:
         numeric = numeric_peak_concurrence(grid)
     return SweepResult(
-        x1=x1_grid.copy(),
+        x1=x1_grid,
         g1=grid.g1,
         rddi=grid.rddi,
         ratio=peaks.ratio,
@@ -228,12 +223,8 @@ def mesh(geo: CavityGeometry, x1_grid, t_grid) -> np.ndarray:
 
     Row i is the propagated concurrence series (full g2, photon-fed initial
     state) for atom 1 at x1_grid[i], all rows from one stacked propagation;
-    the emission order is fixed by the input grids.
+    x1_grid may come in any order, and its order is the order of the rows.
     """
-    x1_grid = np.asarray(x1_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if x1_grid.ndim != 1 or x1_grid.size == 0 or t_grid.ndim != 1 or t_grid.size == 0:
-        raise ParameterError("mesh grids must be non-empty 1-d arrays")
-    if not (np.isfinite(t_grid).all() and (t_grid[1:] > t_grid[:-1]).all()):
-        raise ParameterError("mesh times must be finite and strictly ascending")
-    return _model_concurrence(params_at(geo, x1_grid), InitialState(), t_grid)
+    if np.ndim(x1_grid) != 1 or np.size(x1_grid) == 0:
+        raise ParameterError("mesh x1 must be a non-empty 1-d array")
+    return _model_concurrence(params_at(geo, x1_grid), InitialState(), _grid(t_grid, "times"))

@@ -36,8 +36,6 @@ RESIDUAL_RTOL = 1e-12
 ORTHONORMALITY_TOL = 1e-12
 NORM_TOL = 1e-10
 
-MAX_DIM = 64
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -153,7 +151,7 @@ def hermitian_eigendecompose(m: np.ndarray, *, _defect=None) -> SpectralDecompos
     Parameters
     ----------
     m : (n, n) or (k, n, n) array_like
-        Hermitian matrix, n <= 64, or a stack of k such matrices.
+        Hermitian matrix, or a stack of k such matrices.
         Hermiticity is checked per matrix against
         max|m - m^dagger| <= 1e-12 * max|m|.
 
@@ -177,8 +175,6 @@ def hermitian_eigendecompose(m: np.ndarray, *, _defect=None) -> SpectralDecompos
     """
     m, scale = _require_hermitian(m, _defect)
     n = m.shape[-1]
-    if n > MAX_DIM:
-        raise DimensionMismatch(f"dimension {n} exceeds supported maximum {MAX_DIM}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

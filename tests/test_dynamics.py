@@ -513,7 +513,10 @@ class TestPeakOptimum:
     @pytest.mark.parametrize("g1, rddi", [(math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf),
                                           (1.0, np.array([0.5, math.nan]))])
     def test_height_rejects_non_finite_couplings(self, g1, rddi):
-        with pytest.raises(ParameterError, match="^couplings must be finite, got max"):
+        # ModelParams is the one coupling check, and its message names the field and the value.
+        name, value = next((name, v) for name, x in (("g1", g1), ("rddi", rddi))
+                           for v in np.ravel(x).tolist() if not math.isfinite(v))
+        with pytest.raises(ParameterError, match=f"^{name} = {value!r} is not finite$"):
             peak_height(g1, rddi)
 
     @pytest.mark.parametrize("optimum", [peak_optimum, scan_peak_optimum])
@@ -733,7 +736,7 @@ class TestConcurrenceKernel:
             targets = [float((2 * k + 1) * mpmath.pi / 2) for k in range(4)]
         params = ModelParams(g1=1.0, g2=0.3, rddi=0.5)
         init = InitialState(alpha=0.6, beta=0.8j)
-        gaps, _ = dynamics._atom_weights(dynamics._model_decomposition(params), init.vector())
+        gaps, _ = dynamics._atom_weights(dynamics._model_decomposition(params), init)
         times = []
         for half in (0.5 * gaps).tolist():
             for target in targets:

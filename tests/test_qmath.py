@@ -90,11 +90,14 @@ class TestEigendecompose:
         np.testing.assert_array_equal(defect, [0.0, 1.0, 2.0])
         assert isinstance(hermiticity_defect(stack[2]), float)
 
-    def test_rejects_non_square_and_oversized(self):
+    def test_rejects_non_square_and_decomposes_any_size(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eigendecompose(np.zeros((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            hermitian_eigendecompose(np.eye(65))
+        # No dimension cap: a 65 x 65 symmetric matrix decomposes and passes the same checks.
+        m = np.random.default_rng(65).standard_normal((65, 65))
+        decomp = hermitian_eigendecompose(m + m.T)
+        assert decomp.eigenvectors.shape == (65, 65)
+        np.testing.assert_allclose(decomp.eigenvalues, np.linalg.eigvalsh(m + m.T), rtol=0.0, atol=1e-12)
 
     def test_real_input_gives_real_eigenvectors(self):
         h = h_model(1.0, 0.5, 0.1).real
